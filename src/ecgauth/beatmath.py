@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_jit
 from .errors import ContractError, ZeroVarianceError
 
 
@@ -50,72 +49,36 @@ def pearson(x, y, y_mean: float | None = None, y_sdev: float | None = None) -> f
     return min(1.0, max(-1.0, r))
 
 
-def _linkage_ranks_impl(dist):
+def _linkage_ranks(dist):
+    # Greedy average linkage on the full matrix, which pairwise_euclidean
+    # makes exactly symmetric (numpy forms x @ x.T as one symmetric product).
+    # The diagonal and every merged-away cluster hold inf, so each merge is
+    # one argmin; the first row-major minimum of a symmetric matrix lies in
+    # the upper triangle at the lowest (i, j), the buffer-order tie rule. A
+    # merged cluster keeps the lower slot, so slot i is also the smallest
+    # buffer index inside it and the older beat of a singleton pair.
     b = dist.shape[0]
-    ranks = np.zeros(b, dtype=np.int64)
-    if b == 1:
-        ranks[0] = 1
-        return ranks
     d = dist.copy()
+    np.fill_diagonal(d, np.inf)
     size = np.ones(b, dtype=np.int64)
-    mm = np.arange(b)  # smallest buffer index inside each active cluster
-    active = np.ones(b, dtype=np.bool_)
+    ranks = np.zeros(b, dtype=np.int64)
     next_rank = 1
     for _step in range(b - 1):
-        best_i = -1
-        best_j = -1
-        best_d = np.inf
-        best_lo = -1
-        best_hi = -1
-        for i in range(b):
-            if not active[i]:
-                continue
-            for j in range(i + 1, b):
-                if not active[j]:
-                    continue
-                dij = d[i, j]
-                if mm[i] < mm[j]:
-                    lo, hi = mm[i], mm[j]
-                else:
-                    lo, hi = mm[j], mm[i]
-                take = False
-                if dij < best_d:
-                    take = True
-                elif dij == best_d:
-                    # equal-distance merges resolved by buffer order
-                    if lo < best_lo or (lo == best_lo and hi < best_hi):
-                        take = True
-                if take:
-                    best_d = dij
-                    best_i, best_j = i, j
-                    best_lo, best_hi = lo, hi
-        i, j = best_i, best_j
-        if size[i] == 1 and size[j] == 1:
-            older = mm[i] if mm[i] < mm[j] else mm[j]
-            newer = mm[j] if mm[i] < mm[j] else mm[i]
-            ranks[older] = next_rank
-            ranks[newer] = next_rank + 1
-            next_rank += 2
-        elif size[i] == 1:
-            ranks[mm[i]] = next_rank
-            next_rank += 1
-        elif size[j] == 1:
-            ranks[mm[j]] = next_rank
-            next_rank += 1
+        i, j = divmod(int(np.argmin(d)), b)
         si, sj = size[i], size[j]
-        for k in range(b):
-            if active[k] and k != i and k != j:
-                dk = (si * d[i, k] + sj * d[j, k]) / (si + sj)
-                d[i, k] = dk
-                d[k, i] = dk
+        if si == 1:
+            ranks[i] = next_rank
+            next_rank += 1
+        if sj == 1:
+            ranks[j] = next_rank
+            next_rank += 1
+        row = (si * d[i] + sj * d[j]) / (si + sj)
+        d[i] = row
+        d[:, i] = row
+        d[j] = np.inf
+        d[:, j] = np.inf
         size[i] = si + sj
-        if mm[j] < mm[i]:
-            mm[i] = mm[j]
-        active[j] = False
     return ranks
-
-
-_linkage_ranks = maybe_jit(_linkage_ranks_impl)
 
 
 def pairwise_euclidean(vectors: np.ndarray) -> np.ndarray:
@@ -136,13 +99,22 @@ def cluster_ranks(beats) -> np.ndarray:
     in which it first joins a cluster; earlier means more central. When two
     singletons merge in one step the older buffer entry takes the lower rank,
     and any remaining ties resolve by buffer order.
+
+    Raises:
+        ContractError: not a non-empty (B, N) stack, or a non-finite value
+            in the stack or its distances.
     """
     x = np.asarray(beats, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ContractError(f"cluster_ranks needs a (B, N) stack, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ContractError("cluster_ranks needs finite beats")
     if x.shape[0] == 1:
         return np.array([1], dtype=np.int64)
-    return _linkage_ranks(pairwise_euclidean(x))
+    dist = pairwise_euclidean(x)
+    if not np.isfinite(dist).all():
+        raise ContractError("beat distances overflow float64")
+    return _linkage_ranks(dist)
 
 
 def _i0(x: float) -> float:

@@ -17,9 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from ._accel import maybe_jit
 from .errors import BoundaryError, ContractError
 
 N_WINDOW = 256
@@ -31,6 +29,20 @@ _SEED_S = 2.0
 _REFINE_S = 0.025
 _RR_RING = 8
 _CAND_RING = 256
+
+
+def _fir(taps: np.ndarray, x: np.ndarray, state: np.ndarray):
+    """FIR-filter one chunk; returns (output, state for the next chunk).
+
+    The state is the last len(taps) - 1 samples of the previous chunk's full
+    convolution, added to the head of this one. With integer-valued samples
+    and taps every sum is exact, so any split of a signal into chunks gives
+    the whole-signal output bit for bit.
+    """
+    full = np.convolve(taps, x)
+    full[: state.shape[0]] += state
+    # copy the state so it does not keep the whole chunk's convolution alive
+    return full[: x.shape[0]], full[x.shape[0] :].copy()
 
 
 @dataclass(frozen=True)
@@ -50,22 +62,23 @@ class Beat:
     t: float
 
 
-def _scan_impl(mwi, offset, scal_f, scal_i, rr_ring, cand_idx, cand_val,
-               mwi_ring, out, refractory, rr_seed):
+def _scan(mwi, offset, scal_f, scal_i, rr_ring, cand_idx, cand_val,
+          mwi_ring, out, refractory, rr_seed):
     # scal_f: [v_max, spk, npk]; scal_i: [p_max, last_qrs, rr_count,
-    # cand_count, 0, 0]. mwi_ring keeps recent samples for half-height walks.
-    v_max = scal_f[0]
-    spk = scal_f[1]
-    npk = scal_f[2]
-    p_max = scal_i[0]
-    last_qrs = scal_i[1]
-    rr_count = scal_i[2]
-    cand_count = scal_i[3]
+    # cand_count, 0, 0]. mwi_ring, a list, keeps recent samples for
+    # half-height walks. The loop runs once per sample, so it works on
+    # Python floats and ints, which are cheaper to touch than numpy scalars.
+    v_max = float(scal_f[0])
+    spk = float(scal_f[1])
+    npk = float(scal_f[2])
+    p_max = int(scal_i[0])
+    last_qrs = int(scal_i[1])
+    rr_count = int(scal_i[2])
+    cand_count = int(scal_i[3])
     cap = cand_idx.shape[0]
-    rcap = mwi_ring.shape[0]
+    rcap = len(mwi_ring)
     n_out = 0
-    for local in range(mwi.shape[0]):
-        y = mwi[local]
+    for local, y in enumerate(mwi.tolist()):
         n_abs = offset + local
         mwi_ring[n_abs % rcap] = y
         m = -1
@@ -154,9 +167,6 @@ def _scan_impl(mwi, offset, scal_f, scal_i, rr_ring, cand_idx, cand_val,
     return n_out
 
 
-_scan = maybe_jit(_scan_impl)
-
-
 class QrsDetector:
     """Single-stream stateful QRS detector.
 
@@ -198,7 +208,7 @@ class QrsDetector:
         self._rr_ring = np.zeros(_RR_RING)
         self._cand_idx = np.zeros(_CAND_RING, dtype=np.int64)
         self._cand_val = np.zeros(_CAND_RING)
-        self._mwi_ring = np.zeros(4 * w)
+        self._mwi_ring = [0.0] * (4 * w)
         self._raw = np.empty(1 << 14, dtype=np.float64)
         self._n_raw = 0
         self._pending_mwi: list[np.ndarray] = []
@@ -222,9 +232,9 @@ class QrsDetector:
     def _filter_chain(self, chunk: np.ndarray) -> np.ndarray:
         y = chunk
         for i, taps in enumerate(self._stages):
-            y, self._zi[i] = lfilter(taps, [1.0], y, zi=self._zi[i])
+            y, self._zi[i] = _fir(taps, y, self._zi[i])
         y = y * y
-        y, self._zi_mwi = lfilter(self._mwi_taps, [1.0], y, zi=self._zi_mwi)
+        y, self._zi_mwi = _fir(self._mwi_taps, y, self._zi_mwi)
         return y
 
     def _seed(self, mwi_prefix: np.ndarray) -> None:

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import maybe_jit
 from .errors import ContractError
 
 _GAP_RTOL = 1e-6
 _GAP_CHECK_EVERY = 256
 
 
-def _smo_impl(x, y, cvec, max_steps, gap_rtol):
+def _smo(x, y, cvec, max_steps, gap_rtol):
     n = x.shape[0]
     alpha = np.zeros(n)
     w = np.zeros(x.shape[1])
@@ -96,9 +95,6 @@ def _smo_impl(x, y, cvec, max_steps, gap_rtol):
     dual = alpha.sum() - 0.5 * np.dot(w, w)
     gap = primal - dual
     return alpha, w, bias, gap, steps
-
-
-_smo = maybe_jit(_smo_impl)
 
 
 @dataclass

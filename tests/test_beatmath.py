@@ -1,9 +1,10 @@
 """Per-beat math against independent oracles.
 
 Oracles come first and do not share code with the implementation: a literal
-double-loop cosine transform, scipy's Kaiser window, and a set-based
+double-loop cosine transform, scipy's Kaiser window, a set-based
 average-linkage agglomeration that recomputes every cluster distance from
-the original pairwise matrix.
+the original pairwise matrix, and a per-pair scan that updates cluster
+distances with the same arithmetic as the implementation.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.signal.windows import kaiser as scipy_kaiser
 
 from ecgauth.beatmath import (AveragedBeat, DctMatrix, cluster_ranks,
@@ -90,6 +92,39 @@ def linkage_ranks_oracle(x):
     return np.array(ranks)
 
 
+def linkage_ranks_scan(x):
+    """Average-linkage ranks by scanning every active pair at each merge.
+
+    Cluster distances follow the Lance-Williams update the implementation
+    uses, so the floating-point values agree exactly; the scan keeps the
+    first strict minimum in (i, j) order, which is the buffer-order tie rule.
+    The set-based oracle above takes a fresh mean instead, which can round
+    an exact tie on an integer grid the other way.
+    """
+    d = pairwise_euclidean(x)
+    size = [1] * x.shape[0]
+    ranks = [0] * x.shape[0]
+    active = list(range(x.shape[0]))
+    next_rank = 1
+    while len(active) > 1:
+        best = None
+        for p, i in enumerate(active):
+            for j in active[p + 1:]:
+                if best is None or d[i, j] < best[0]:
+                    best = (d[i, j], i, j)
+        _, i, j = best
+        for k in (i, j):
+            if size[k] == 1:
+                ranks[k] = next_rank
+                next_rank += 1
+        for k in active:
+            if k not in (i, j):
+                d[i, k] = d[k, i] = (size[i] * d[i, k] + size[j] * d[j, k]) / (size[i] + size[j])
+        size[i] += size[j]
+        active.remove(j)
+    return np.array(ranks)
+
+
 def test_oracles_agree_with_each_other():
     # the fast per-row oracle must match the literal double loop before
     # either is used against the implementation
@@ -97,6 +132,10 @@ def test_oracles_agree_with_each_other():
     for _ in range(5):
         a = rng.standard_normal(12)
         assert np.abs(scalar_dct_oracle(a) - row_dct_oracle(a, 12)).max() < 1e-12
+    # away from exact ties the two linkage oracles rank alike
+    for _ in range(30):
+        x = rng.standard_normal((int(rng.integers(2, 13)), 6))
+        assert np.array_equal(linkage_ranks_scan(x), linkage_ranks_oracle(x))
 
 
 # -- pearson ------------------------------------------------------------------
@@ -204,6 +243,42 @@ def test_cluster_ranks_outlier_gets_last_rank_and_min_weight():
         assert ranks[-1] == b
         weights = kaiser_weights(b, 6.0)[ranks - 1]
         assert weights[-1] == weights.min()
+
+
+@st.composite
+def _tied_buffers(draw):
+    # a small integer grid plus repeated rows makes exact distance ties common
+    b = draw(st.integers(2, 16))
+    dim = draw(st.integers(1, 3))
+    x = draw(arrays(np.float64, (b, dim), elements=st.integers(0, 3).map(float)))
+    repeats = draw(st.lists(st.integers(0, b - 1), max_size=16 - b))
+    return np.concatenate([x, x[repeats]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_tied_buffers())
+@example(x=np.array([[1.0, 2.0], [2.0, 3.0], [2.0, 2.0], [1.0, 0.0], [1.0, 2.0],
+                     [2.0, 1.0], [1.0, 2.0], [2.0, 3.0], [1.0, 2.0]]))
+def test_cluster_ranks_match_scan_under_ties(x):
+    # in the example, two cluster distances that are equal in exact
+    # arithmetic round differently as a fresh set mean than as a running
+    # average, so the set-based oracle swaps ranks 8 and 9
+    ranks = cluster_ranks(x)
+    assert sorted(ranks.tolist()) == list(range(1, x.shape[0] + 1))
+    assert np.array_equal(ranks, linkage_ranks_scan(x))
+
+
+def test_cluster_ranks_rejects_non_finite_beats():
+    x = np.random.default_rng(4).standard_normal((5, 8))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[2, 3] = bad
+        with pytest.raises(ContractError):
+            cluster_ranks(y)
+    with pytest.raises(ContractError):
+        cluster_ranks(np.array([[np.nan, 1.0]]))
+    with pytest.raises(ContractError), np.errstate(over="ignore", invalid="ignore"):
+        cluster_ranks(np.array([[1e200, 0.0], [-1e200, 0.0]]))
 
 
 def test_cluster_ranks_rejects_bad_shape():

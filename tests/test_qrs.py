@@ -7,13 +7,19 @@ exact by construction; the detector never sees them.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+import ecgauth
 from ecgauth.ecgio import EcgRecord
 from ecgauth.errors import BoundaryError, ContractError
-from ecgauth.qrs import LEFT, N_WINDOW, QrsDetector, RPeak, detect_beats, segment_beat
+from ecgauth.qrs import (LEFT, N_WINDOW, QrsDetector, RPeak, _fir, detect_beats,
+                         segment_beat)
 from ecgauth.synth import SubjectMorphology, generate_record
 from helpers import match_peaks
 
@@ -64,6 +70,33 @@ def test_chunked_feeding_matches_whole_record():
             peaks.extend(det.feed(record.samples[start : start + chunk]))
         peaks.extend(det.finish())
         assert [p.index for p in peaks] == whole
+
+
+def test_fir_matches_lfilter_on_detector_taps():
+    # scipy's FIR path (a == [1.0]) is the oracle; a non-integer signal makes
+    # any change in summation order show up in the last bits
+    det = QrsDetector(FS)
+    record, _ = generate_record(MORPH, 3.0, FS)
+    noise = np.random.default_rng(3).standard_normal(len(record.samples))
+    for taps in [*det._stages, det._mwi_taps]:
+        for x in (record.samples.astype(np.float64), noise):
+            for chunk in (1, 7, 64, 997):
+                ours = theirs = np.zeros(len(taps) - 1)
+                for start in range(0, len(x), chunk):
+                    part = x[start : start + chunk]
+                    got, ours = _fir(taps, part, ours)
+                    want, theirs = lfilter(taps, [1.0], part, zi=theirs)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(ours, theirs)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ecgauth.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ecgauth; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_amplitude_scaling_leaves_peaks_unchanged():
