@@ -25,7 +25,8 @@ from .evaluation import (ConfusionCounts, bar, fpr, leave_one_out,
 from .pipeline import (FeatureStream, Timeline, VerificationEvent,
                        VerificationPipeline, collect_features, prescreen,
                        replay_login, stream_record, write_timeline_csv)
-from .qrs import Beat, QrsDetector, RPeak, detect_beats, segment_beat
+from .qrs import (Beat, QrsDetector, RecordBeats, RPeak, detect_beats,
+                  record_beats, segment_beat)
 from .svm import LinearSvm, train_svm
 from .synth import (SubjectMorphology, default_cohort, generate_record,
                     write_cohort)

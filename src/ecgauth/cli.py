@@ -2,8 +2,8 @@
 
 Every run resolves its configuration first and writes it to run.json in the
 output directory, so any result can be reproduced from run.json plus the
-input files. No command reads the wall clock; the only randomness is the
---seed flag, which feeds the synthetic generator.
+input files. No command reads the wall clock; the only randomness is
+synth's --seed flag, which feeds the synthetic generator.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import ContractError, EcgAuthError
 from .evaluation import (leave_one_out, parameter_sweep, timeline_metrics,
                          write_report_csv, write_sweep_csv)
 from .pipeline import stream_record, write_timeline_csv
+from .qrs import LEFT, N_WINDOW
 from .synth import default_cohort, write_cohort
 
 
@@ -47,7 +48,7 @@ def _params(args) -> PipelineParams:
 def _params_config(params: PipelineParams) -> dict:
     return {"t_avg": params.t_avg, "m": params.m, "r_min": params.r_min,
             "t_v": params.t_v, "n": params.n, "beta": params.beta,
-            "n_window": params.n_window, "left": params.left}
+            "n_window": N_WINDOW, "left": LEFT}
 
 
 def _write_run_json(out_dir: str, command: str, config: dict) -> None:
@@ -73,7 +74,7 @@ def cmd_synth(args) -> int:
 def cmd_enroll(args) -> int:
     params = _params(args)
     _write_run_json(args.out, "enroll", {
-        "manifest": args.manifest, "out": args.out, "seed": args.seed,
+        "manifest": args.manifest, "out": args.out,
         "params": _params_config(params),
     })
     entries = read_manifest(args.manifest)
@@ -100,7 +101,6 @@ def cmd_enroll(args) -> int:
 def cmd_verify(args) -> int:
     _write_run_json(args.out, "verify", {
         "model": args.model, "record": args.record, "out": args.out,
-        "seed": args.seed,
     })
     model = load_model(args.model)
     record = read_record(args.record)
@@ -141,7 +141,7 @@ def cmd_evaluate(args) -> int:
     # reject malformed sweep grids before the expensive evaluation runs
     sweep_grids = _parse_sweep(args.sweep) if args.sweep else None
     config = {
-        "manifest": args.manifest, "out": args.out, "seed": args.seed,
+        "manifest": args.manifest, "out": args.out,
         "jobs": args.jobs, "params": _params_config(params),
         "sweep": args.sweep,
     }
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enroll", help="build one model per multi-session subject")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     _add_param_flags(p)
     p.set_defaults(func=cmd_enroll)
 
@@ -195,13 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--record", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sweep", nargs="+", metavar="GRID",
                    help="e.g. --sweep t_avg=6,12,18 m=20,40")

@@ -22,6 +22,7 @@ import numpy as np
 from .beatmath import pearson
 from .errors import (ContractError, EnrollmentQualityError, FormatError,
                      ZeroVarianceError)
+from .qrs import LEFT, N_WINDOW, RecordBeats, record_beats
 from .svm import LinearSvm, train_svm
 
 MODEL_FORMAT_VERSION = 1
@@ -39,14 +40,12 @@ class PipelineParams:
     t_v: float = 30.0
     n: int = 10
     beta: float = 6.0
-    n_window: int = 256
-    left: int = 78
 
     def validate(self) -> None:
         if self.t_avg <= 0:
             raise ContractError("t_avg must be positive")
-        if not 1 <= self.m <= self.n_window:
-            raise ContractError(f"m must be in [1, {self.n_window}]")
+        if not 1 <= self.m <= N_WINDOW:
+            raise ContractError(f"m must be in [1, {N_WINDOW}]")
         if not 0.0 < self.r_min < 1.0:
             raise ContractError("r_min must be in (0, 1)")
         if self.t_v <= 0:
@@ -55,8 +54,6 @@ class PipelineParams:
             raise ContractError("n must be at least 1")
         if self.beta < 0:
             raise ContractError("beta must be nonnegative")
-        if not 0 <= self.left < self.n_window:
-            raise ContractError("left must be inside the window")
 
 
 @dataclass(frozen=True)
@@ -112,11 +109,10 @@ def _windows(beats) -> np.ndarray:
     return np.stack([np.asarray(b.window, dtype=np.float64) for b in beats])
 
 
-def _template_and_survivors(beats, r_min: float) -> tuple[np.ndarray, list[bool]]:
-    if len(beats) < MIN_ENROLL_BEATS:
+def _template_and_survivors(w: np.ndarray, r_min: float) -> tuple[np.ndarray, np.ndarray]:
+    if len(w) < MIN_ENROLL_BEATS:
         raise EnrollmentQualityError(
-            f"need at least {MIN_ENROLL_BEATS} beats to enroll, got {len(beats)}")
-    w = _windows(beats)
+            f"need at least {MIN_ENROLL_BEATS} beats to enroll, got {len(w)}")
     median = np.median(w, axis=0)
     med_mean = float(median.mean())
     med_sdev = float(median.std(ddof=1))
@@ -128,24 +124,28 @@ def _template_and_survivors(beats, r_min: float) -> tuple[np.ndarray, list[bool]
             kept.append(False)
             continue
         kept.append(r >= r_min)
-    n_kept = sum(kept)
-    if n_kept < MIN_SURVIVOR_FRACTION * len(beats):
+    kept = np.asarray(kept)
+    n_kept = int(kept.sum())
+    if n_kept < MIN_SURVIVOR_FRACTION * len(w):
         raise EnrollmentQualityError(
-            f"only {n_kept}/{len(beats)} beats survive the template pass")
-    template = w[np.asarray(kept)].mean(axis=0)
+            f"only {n_kept}/{len(w)} beats survive the template pass")
+    template = w[kept].mean(axis=0)
     return template, kept
 
 
 def build_template(beats, r_min: float = 0.9) -> np.ndarray:
     """Robust template from enrollment beats; see module docstring."""
-    template, _ = _template_and_survivors(beats, r_min)
+    template, _ = _template_and_survivors(_windows(beats), r_min)
     return template
 
 
 def amplitude_thresholds(beats) -> tuple[float, float]:
     """Amplitude gate from the 1st/99th percentiles of per-beat extremes,
     widened by 25% of their spread on each side."""
-    w = _windows(beats)
+    return _amplitude_thresholds(_windows(beats))
+
+
+def _amplitude_thresholds(w: np.ndarray) -> tuple[float, float]:
     mins = w.min(axis=1)
     maxs = w.max(axis=1)
     mn = float(np.percentile(mins, 1.0))
@@ -166,35 +166,36 @@ class TrainingSet:
     record_stats: list  # (subject_id, session_id, label, detected, rows)
 
 
-def build_template_pack(records, params: PipelineParams) -> TemplatePack:
-    """Template + thresholds from enroll-role records, ready for streaming."""
-    from .qrs import detect_beats, segment_beat
+def build_template_pack(beats: list[RecordBeats], params: PipelineParams) -> TemplatePack:
+    """Template + thresholds from enroll-role records' beats, ready for streaming."""
+    return _template_pack(beats, params)[0]
 
-    beats = []
-    for rec in records:
-        for r in detect_beats(rec):
-            try:
-                beats.append(segment_beat(rec, r))
-            except Exception:
-                continue
-    template, kept = _template_and_survivors(beats, params.r_min)
-    survivors = [b for b, k in zip(beats, kept) if k]
-    amp_lo, amp_hi = amplitude_thresholds(survivors)
+
+def _template_pack(beats: list[RecordBeats],
+                   params: PipelineParams) -> tuple[TemplatePack, list[int]]:
+    """The template pack and, per record, how many beats survive its pass."""
+    w = np.concatenate([b.windows for b in beats])
+    template, kept = _template_and_survivors(w, params.r_min)
+    amp_lo, amp_hi = _amplitude_thresholds(w[kept])
     mean, sdev = _template_stats(template)
-    return TemplatePack(template=template, mean=mean, sdev=sdev,
+    pack = TemplatePack(template=template, mean=mean, sdev=sdev,
                         amp_lo=amp_lo, amp_hi=amp_hi, r_min=params.r_min)
+    splits = np.cumsum([len(b.windows) for b in beats])[:-1]
+    survivors = [int(k.sum()) for k in np.split(kept, splits)]
+    return pack, survivors
 
 
-def build_training_set(owner_records, population_records, params: PipelineParams,
-                       pack: TemplatePack) -> TrainingSet:
-    """Stream records through the owner's feature path; label owner rows 1."""
+def build_training_set(owner_beats: list[RecordBeats],
+                       population_beats: list[RecordBeats],
+                       params: PipelineParams, pack: TemplatePack) -> TrainingSet:
+    """Stream records' beats through the owner's feature path; label owner rows 1."""
     from .pipeline import collect_features
 
     rows = []
     labels = []
     row_prov = []
     rec_stats = []
-    for label, records in ((1, owner_records), (0, population_records)):
+    for label, records in ((1, owner_beats), (0, population_beats)):
         for rec in records:
             batch = collect_features(rec, pack, params)
             for k in range(batch.features.shape[0]):
@@ -223,7 +224,6 @@ def enroll_subject(entries, subject_id: str, params: PipelineParams,
     record that was read.
     """
     from .ecgio import read_record
-    from .qrs import detect_beats, segment_beat
 
     params.validate()
     own = [e for e in entries if e.subject_id == subject_id and e.role == "enroll"]
@@ -241,45 +241,27 @@ def enroll_subject(entries, subject_id: str, params: PipelineParams,
     for rec in own_records:
         if rec.fs != fs:
             raise ContractError(f"{subject_id}: mixed sample rates in enroll records")
+    own_beats = [record_beats(rec) for rec in own_records]
+    pack, survivors = _template_pack(own_beats, params)
+    provenance = [(subject_id, b.session_id, "enroll", b.detected, n_kept)
+                  for b, n_kept in zip(own_beats, survivors)]
 
-    beats = []
-    session_of = []
-    detected_per = []
-    for rec in own_records:
-        peaks = detect_beats(rec)
-        detected_per.append(len(peaks))
-        for r in peaks:
-            try:
-                b = segment_beat(rec, r)
-            except Exception:
-                continue
-            beats.append(b)
-            session_of.append(rec.session_id)
-    template, kept = _template_and_survivors(beats, params.r_min)
-    survivors = [b for b, k in zip(beats, kept) if k]
-    amp_lo, amp_hi = amplitude_thresholds(survivors)
-    mean, sdev = _template_stats(template)
-    pack = TemplatePack(template=template, mean=mean, sdev=sdev,
-                        amp_lo=amp_lo, amp_hi=amp_hi, r_min=params.r_min)
-
-    provenance = []
-    for rec, n_det in zip(own_records, detected_per):
-        n_kept = sum(1 for s, k in zip(session_of, kept) if k and s == rec.session_id)
-        provenance.append((subject_id, rec.session_id, "enroll", n_det, n_kept))
-
-    pop_records = [read_record(e.path) for e in pop]
-    for rec in pop_records:
+    pop_beats = []
+    for e in pop:
+        rec = read_record(e.path)
         if rec.fs != fs:
             raise ContractError(
                 f"{subject_id}: population record {rec.subject_id}/{rec.session_id} "
                 f"has fs {rec.fs}, model is {fs}")
-    ts = build_training_set(own_records, pop_records, params, pack)
+        pop_beats.append(record_beats(rec))
+    ts = build_training_set(own_beats, pop_beats, params, pack)
     role_of = {(e.subject_id, e.session_id): e.role for e in pop}
     for subj, sess, label, detected, n_rows in ts.record_stats:
         if label == 0:
             provenance.append((subj, sess, role_of[(subj, sess)], detected, n_rows))
     svm, _ = train_svm(ts.x, ts.y)
-    model = make_subject_model(subject_id, fs, template, amp_lo, amp_hi, svm, params)
+    model = make_subject_model(subject_id, fs, pack.template, pack.amp_lo,
+                               pack.amp_hi, svm, params)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_model(model, os.path.join(out_dir, f"{subject_id}.json"))
@@ -321,8 +303,8 @@ def save_model(model: SubjectModel, path: str) -> None:
             "t_v": float(model.params.t_v),
             "n": model.params.n,
             "beta": float(model.params.beta),
-            "n_window": model.params.n_window,
-            "left": model.params.left,
+            "n_window": N_WINDOW,
+            "left": LEFT,
         },
         "template": np.asarray(model.template, dtype=np.float64),
         "amp_lo": float(model.amp_lo),
@@ -349,9 +331,12 @@ def load_model(path: str) -> SubjectModel:
         raise FormatError(f"{path}: unsupported model format "
                           f"{doc.get('format_version')!r}")
     p = doc["params"]
+    if (p.get("n_window"), p.get("left")) != (N_WINDOW, LEFT):
+        raise FormatError(f"{path}: model window n_window={p.get('n_window')!r}, "
+                          f"left={p.get('left')!r}; this version cuts "
+                          f"n_window={N_WINDOW}, left={LEFT}")
     params = PipelineParams(t_avg=p["t_avg"], m=p["m"], r_min=p["r_min"],
-                            t_v=p["t_v"], n=p["n"], beta=p["beta"],
-                            n_window=p["n_window"], left=p["left"])
+                            t_v=p["t_v"], n=p["n"], beta=p["beta"])
     params.validate()
     s = doc["svm"]
     svm = LinearSvm(mu=np.asarray(s["mu"], dtype=np.float64),

@@ -3,10 +3,12 @@
 For every multi-session owner S and every other subject I, a classifier is
 trained with I withheld from the negative population, then tested on S's
 held-out test sessions (genuine) and on all of I's sessions (intruder).
-The feature sequence of a record depends only on the owner's template pack
-and the parameters, never on the classifier, so each record is streamed
-once per owner and the per-intruder work reduces to SVM training plus
-margin evaluation over cached features.
+A record's beats depend on nothing but the record, so each manifest record
+is read and detected once per evaluation (once per sweep), in parallel
+under jobs > 1. Its feature sequence depends only on the owner's template
+pack and the parameters, never on the classifier, so the beats are
+streamed once per owner and the per-intruder work reduces to SVM training
+plus margin evaluation over cached features.
 
 Undefined rates (a zero denominator) propagate as N/A; they are never
 silently reported as zero.
@@ -15,7 +17,10 @@ silently reported as zero.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .ecgio import read_record
 from .enroll import PipelineParams, build_template_pack
 from .errors import ContractError, UndefinedMetricError
 from .pipeline import Timeline, collect_features, replay_login
+from .qrs import RecordBeats, record_beats
 from .svm import train_svm
 
 
@@ -95,7 +101,18 @@ def _check_session_separation(entries) -> None:
                 f"training and test roles")
 
 
-def _eval_owner(entries, owner: str, params: PipelineParams, c: float) -> list[CellResult]:
+def _read_beats(path: str) -> RecordBeats:
+    return record_beats(read_record(path))
+
+
+def _manifest_beats(entries, run_map) -> dict:
+    """RecordBeats of every distinct manifest entry."""
+    unique = list(dict.fromkeys(entries))
+    return dict(zip(unique, run_map(_read_beats, [e.path for e in unique])))
+
+
+def _eval_owner(entries, beats: dict, owner: str, params: PipelineParams,
+                c: float) -> list[CellResult]:
     own_enroll = sorted((e for e in entries
                          if e.subject_id == owner and e.role == "enroll"),
                         key=lambda e: e.session_id)
@@ -104,14 +121,14 @@ def _eval_owner(entries, owner: str, params: PipelineParams, c: float) -> list[C
                       key=lambda e: e.session_id)
     others = sorted({e.subject_id for e in entries} - {owner})
 
-    enroll_records = [read_record(e.path) for e in own_enroll]
-    pack = build_template_pack(enroll_records, params)
+    enroll_beats = [beats[e] for e in own_enroll]
+    pack = build_template_pack(enroll_beats, params)
 
-    pos_feats = [collect_features(rec, pack, params).features
-                 for rec in enroll_records]
+    pos_feats = [collect_features(b, pack, params).features
+                 for b in enroll_beats]
     positives = np.concatenate([f for f in pos_feats if f.shape[0]])
 
-    genuine_batches = [collect_features(read_record(e.path), pack, params)
+    genuine_batches = [collect_features(beats[e], pack, params)
                        for e in own_test]
     neg_pool: dict[str, list[np.ndarray]] = {}
     attack_batches: dict[str, list] = {}
@@ -121,7 +138,7 @@ def _eval_owner(entries, owner: str, params: PipelineParams, c: float) -> list[C
         subj_entries = sorted((e for e in entries if e.subject_id == subject),
                               key=lambda e: (e.session_id, e.role))
         for e in subj_entries:
-            batch = collect_features(read_record(e.path), pack, params)
+            batch = collect_features(beats[e], pack, params)
             if e.role in ("enroll", "population"):
                 neg_pool[subject].append(batch.features)
             attack_batches[subject].append(batch)
@@ -196,11 +213,8 @@ def _aggregate(owner: str, cells: list[CellResult]) -> SubjectReport:
     )
 
 
-def leave_one_out(entries, params: PipelineParams, jobs: int = 1,
-                  c: float = 1.0) -> tuple[list[SubjectReport], list[CellResult]]:
-    """Evaluate every multi-session owner against every left-out intruder."""
-    params.validate()
-    entries = tuple(entries)
+def _owners(entries) -> list[str]:
+    """Subjects with enroll and test sessions, after the manifest checks."""
     subjects = sorted({e.subject_id for e in entries})
     if len(subjects) < 3:
         raise ContractError(f"leave-one-out needs at least 3 subjects, got {len(subjects)}")
@@ -211,21 +225,37 @@ def leave_one_out(entries, params: PipelineParams, jobs: int = 1,
         and any(e.subject_id == s and e.role == "test" for e in entries))
     if not owners:
         raise ContractError("no subject has both enroll and test sessions")
+    return owners
 
-    by_owner: dict[str, list[CellResult]] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {owner: pool.submit(_eval_owner, entries, owner, params, c)
-                       for owner in owners}
-            for owner in owners:
-                by_owner[owner] = futures[owner].result()
-    else:
-        for owner in owners:
-            by_owner[owner] = _eval_owner(entries, owner, params, c)
 
-    reports = [_aggregate(owner, by_owner[owner]) for owner in owners]
-    cells = [cell for owner in owners for cell in by_owner[owner]]
+@contextmanager
+def _mapper(jobs: int):
+    """map over a pool of jobs spawned workers, or the builtin map for jobs <= 1."""
+    if jobs <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+        yield pool.map
+
+
+def _leave_one_out(entries, beats: dict, owners: list[str], params: PipelineParams,
+                   c: float, run_map) -> tuple[list[SubjectReport], list[CellResult]]:
+    by_owner = list(run_map(partial(_eval_owner, entries, beats, params=params, c=c),
+                            owners))
+    reports = [_aggregate(owner, cells) for owner, cells in zip(owners, by_owner)]
+    cells = [cell for owner_cells in by_owner for cell in owner_cells]
     return reports, cells
+
+
+def leave_one_out(entries, params: PipelineParams, jobs: int = 1,
+                  c: float = 1.0) -> tuple[list[SubjectReport], list[CellResult]]:
+    """Evaluate every multi-session owner against every left-out intruder."""
+    params.validate()
+    entries = tuple(entries)
+    owners = _owners(entries)
+    with _mapper(jobs) as run_map:
+        beats = _manifest_beats(entries, run_map)
+        return _leave_one_out(entries, beats, owners, params, c, run_map)
 
 
 def timeline_metrics(genuine: list[Timeline], intruder: list[Timeline]) -> dict:
@@ -261,11 +291,18 @@ def parameter_sweep(entries, t_avg_grid, m_grid, params: PipelineParams,
     """Run leave_one_out per (t_avg, M) cell; returns all cells and the argmax."""
     if not t_avg_grid or not m_grid:
         raise ContractError("sweep grids must be nonempty")
+    grid = [replace(params, t_avg=float(t_avg), m=int(m))
+            for t_avg in t_avg_grid for m in m_grid]
+    for p in grid:
+        p.validate()
+    entries = tuple(entries)
+    owners = _owners(entries)
     cells = []
-    for t_avg in t_avg_grid:
-        for m in m_grid:
-            p = replace(params, t_avg=float(t_avg), m=int(m))
-            _, loo_cells = leave_one_out(entries, p, jobs=jobs)
+    with _mapper(jobs) as run_map:
+        # beats depend on no sweep parameter: detect once for the whole grid
+        beats = _manifest_beats(entries, run_map)
+        for p in grid:
+            _, loo_cells = _leave_one_out(entries, beats, owners, p, 1.0, run_map)
             bars = []
             for cell in loo_cells:
                 try:
@@ -273,7 +310,7 @@ def parameter_sweep(entries, t_avg_grid, m_grid, params: PipelineParams,
                 except UndefinedMetricError:
                     pass
             cells.append(SweepCell(
-                t_avg=float(t_avg), m=int(m),
+                t_avg=p.t_avg, m=p.m,
                 avg_bar=float(np.mean(bars)) if bars else None,
                 worst_bar=min(bars) if bars else None))
     defined = [c for c in cells if c.avg_bar is not None]

@@ -24,8 +24,9 @@ import numpy as np
 from .beatmath import (DctMatrix, cluster_ranks, dct_features, kaiser_weights,
                        pearson, weighted_average)
 from .enroll import PipelineParams, SubjectModel, TemplatePack
-from .errors import BoundaryError, ContractError, ZeroVarianceError
-from .qrs import QrsDetector, segment_beat
+from .errors import ContractError, ZeroVarianceError
+from .qrs import N_WINDOW, RecordBeats, record_beats
+from .qrs import segment_beat  # noqa: F401  perfbench/tracing.py wraps this name
 
 KIND_REJECTED = "beat_rejected_prescreen"
 KIND_POSITIVE = "verified_positive"
@@ -76,7 +77,7 @@ class FeatureStream:
         params.validate()
         self.pack = pack
         self.params = params
-        self._dct = DctMatrix.build(n=params.n_window, m=params.m)
+        self._dct = DctMatrix.build(n=N_WINDOW, m=params.m)
         self._times: deque[float] = deque()
         self._windows: deque[np.ndarray] = deque()
         self._last_t = -np.inf
@@ -87,8 +88,8 @@ class FeatureStream:
             raise ContractError(f"beat at t={t} arrived after t={self._last_t}")
         self._last_t = t
         window = np.asarray(window, dtype=np.float64)
-        if window.shape != (self.params.n_window,):
-            raise ContractError(f"beat window must have {self.params.n_window} samples")
+        if window.shape != (N_WINDOW,):
+            raise ContractError(f"beat window must have {N_WINDOW} samples")
         reason = _prescreen_window(window, self.pack)
         if reason is not None:
             return reason, None, 0
@@ -195,8 +196,10 @@ class VerificationPipeline:
         self._transition_rows(self.login.advance(t))
 
     def process_beat(self, beat, t: float | None = None) -> VerificationEvent:
-        t = beat.t if t is None else t
-        reason, feats, contributing = self.stream.process(beat.window, t)
+        return self.process_window(beat.window, beat.t if t is None else t)
+
+    def process_window(self, window: np.ndarray, t: float) -> VerificationEvent:
+        reason, feats, contributing = self.stream.process(window, t)
         if reason is not None:
             kind = KIND_REJECTED
             margin = None
@@ -235,22 +238,14 @@ def stream_record(model: SubjectModel, record) -> Timeline:
     if record.fs != model.fs:
         raise ContractError(f"record fs {record.fs} does not match model fs {model.fs}")
     pipe = VerificationPipeline(model)
-    duration = len(record.samples) / record.fs
-    det = QrsDetector(record.fs)
-    peaks = det.feed(record.samples)
-    peaks.extend(det.finish())
-    beats = []
-    for r in peaks:
-        try:
-            beats.append(segment_beat(record, r))
-        except BoundaryError:
-            continue
+    beats = record_beats(record)
+    duration = beats.duration_s
     next_tick = 1.0
-    for b in beats:
-        while next_tick <= b.t and next_tick <= duration:
+    for t, window in zip(beats.times.tolist(), beats.windows):
+        while next_tick <= t and next_tick <= duration:
             pipe.tick(next_tick)
             next_tick += 1.0
-        pipe.process_beat(b)
+        pipe.process_window(window, t)
     while next_tick <= duration:
         pipe.tick(next_tick)
         next_tick += 1.0
@@ -269,24 +264,18 @@ class FeatureBatch:
     duration_s: float
 
 
-def collect_features(record, pack: TemplatePack, params: PipelineParams) -> FeatureBatch:
+def collect_features(beats: RecordBeats, pack: TemplatePack,
+                     params: PipelineParams) -> FeatureBatch:
     """Extract the full feature sequence of a record for training/evaluation."""
-    det = QrsDetector(record.fs)
-    peaks = det.feed(record.samples)
-    peaks.extend(det.finish())
     stream = FeatureStream(pack, params)
     times = []
     feats = []
     contrib = []
     n_rejected = 0
-    for r in peaks:
-        try:
-            beat = segment_beat(record, r)
-        except BoundaryError:
-            continue
-        reason, f, b = stream.process(beat.window, beat.t)
+    for t, window in zip(beats.times.tolist(), beats.windows):
+        reason, f, b = stream.process(window, t)
         if reason is None:
-            times.append(beat.t)
+            times.append(t)
             feats.append(f)
             contrib.append(b)
         else:
@@ -294,8 +283,8 @@ def collect_features(record, pack: TemplatePack, params: PipelineParams) -> Feat
     features = np.stack(feats) if feats else np.empty((0, params.m))
     return FeatureBatch(times=np.asarray(times), features=features,
                         contributing=np.asarray(contrib, dtype=np.int64),
-                        beats_detected=len(peaks), n_rejected=n_rejected,
-                        duration_s=len(record.samples) / record.fs)
+                        beats_detected=beats.detected, n_rejected=n_rejected,
+                        duration_s=beats.duration_s)
 
 
 def replay_login(times: np.ndarray, positive: np.ndarray, duration_s: float,

@@ -10,6 +10,9 @@ running RR mean. All stage coefficients are recomputed from the sample rate.
 
 Every threshold is derived from running signal statistics, so scaling the
 input by any positive constant leaves the detected peak set unchanged.
+
+record_beats is the one way to turn a whole record into beats: enrollment,
+verification and evaluation all take its RecordBeats.
 """
 
 from __future__ import annotations
@@ -62,111 +65,6 @@ class Beat:
     t: float
 
 
-def _scan(mwi, offset, scal_f, scal_i, rr_ring, cand_idx, cand_val,
-          mwi_ring, out, refractory, rr_seed):
-    # scal_f: [v_max, spk, npk]; scal_i: [p_max, last_qrs, rr_count,
-    # cand_count, 0, 0]. mwi_ring, a list, keeps recent samples for
-    # half-height walks. The loop runs once per sample, so it works on
-    # Python floats and ints, which are cheaper to touch than numpy scalars.
-    v_max = float(scal_f[0])
-    spk = float(scal_f[1])
-    npk = float(scal_f[2])
-    p_max = int(scal_i[0])
-    last_qrs = int(scal_i[1])
-    rr_count = int(scal_i[2])
-    cand_count = int(scal_i[3])
-    cap = cand_idx.shape[0]
-    rcap = len(mwi_ring)
-    n_out = 0
-    for local, y in enumerate(mwi.tolist()):
-        n_abs = offset + local
-        mwi_ring[n_abs % rcap] = y
-        m = -1
-        v = 0.0
-        if y > v_max:
-            v_max = y
-            p_max = n_abs
-        elif v_max > 0.0 and y < 0.5 * v_max:
-            # excursion over: place the candidate at the midpoint of the
-            # half-height span around the apex, which for a symmetric burst
-            # is the burst center plus the integrator's group delay
-            half = 0.5 * v_max
-            floor_idx = n_abs - rcap + 1
-            if floor_idx < 0:
-                floor_idx = 0
-            i = p_max
-            while i - 1 >= floor_idx and mwi_ring[(i - 1) % rcap] >= half:
-                i -= 1
-            j = p_max
-            while j + 1 <= n_abs and mwi_ring[(j + 1) % rcap] >= half:
-                j += 1
-            m = (i + j) // 2
-            v = v_max
-            v_max = y
-            p_max = n_abs
-        if m < 0:
-            continue
-        if last_qrs >= 0 and m - last_qrs <= refractory:
-            continue
-        # running RR mean over the last few accepted intervals
-        if rr_count > 0:
-            k = rr_count if rr_count < rr_ring.shape[0] else rr_ring.shape[0]
-            s = 0.0
-            for t in range(k):
-                s += rr_ring[t]
-            rrm = s / k
-        else:
-            rrm = rr_seed
-        if last_qrs >= 0 and m - last_qrs > _SEARCHBACK_RR_FACTOR * rrm:
-            thr = npk + 0.25 * (spk - npk)
-            half = 0.5 * thr
-            best_pos = -1
-            best_val = 0.0
-            start = cand_count - cap
-            if start < 0:
-                start = 0
-            for t in range(start, cand_count):
-                p = t % cap
-                ci = cand_idx[p]
-                if ci > last_qrs + refractory and cand_val[p] > half:
-                    if best_pos < 0 or cand_val[p] > best_val:
-                        best_pos = p
-                        best_val = cand_val[p]
-            if best_pos >= 0:
-                bi = cand_idx[best_pos]
-                spk = 0.25 * best_val + 0.75 * spk
-                rr_ring[rr_count % rr_ring.shape[0]] = bi - last_qrs
-                rr_count += 1
-                last_qrs = bi
-                out[n_out] = bi
-                n_out += 1
-                if m - last_qrs <= refractory:
-                    continue
-        thr = npk + 0.25 * (spk - npk)
-        if v > thr:
-            spk = 0.125 * v + 0.875 * spk
-            if last_qrs >= 0:
-                rr_ring[rr_count % rr_ring.shape[0]] = m - last_qrs
-                rr_count += 1
-            last_qrs = m
-            out[n_out] = m
-            n_out += 1
-        else:
-            npk = 0.125 * v + 0.875 * npk
-            p = cand_count % cap
-            cand_idx[p] = m
-            cand_val[p] = v
-            cand_count += 1
-    scal_f[0] = v_max
-    scal_f[1] = spk
-    scal_f[2] = npk
-    scal_i[0] = p_max
-    scal_i[1] = last_qrs
-    scal_i[2] = rr_count
-    scal_i[3] = cand_count
-    return n_out
-
-
 class QrsDetector:
     """Single-stream stateful QRS detector.
 
@@ -203,11 +101,19 @@ class QrsDetector:
         self._refine = max(1, round(_REFINE_S * fs))
         self._refractory = max(1, round(_REFRACTORY_S * fs))
         self._seed_n = round(_SEED_S * fs)
-        self._scal_f = np.array([0.0, 0.0, 0.0])
-        self._scal_i = np.array([0, -1, 0, 0, 0, 0], dtype=np.int64)
-        self._rr_ring = np.zeros(_RR_RING)
-        self._cand_idx = np.zeros(_CAND_RING, dtype=np.int64)
-        self._cand_val = np.zeros(_CAND_RING)
+        # threshold-scan state: the current excursion's apex, the running
+        # signal and noise peak levels, the last accepted beat, and rings of
+        # recent RR intervals and sub-threshold candidates for search-back
+        self._v_max = 0.0
+        self._p_max = 0
+        self._spk = 0.0
+        self._npk = 0.0
+        self._last_qrs = -1
+        self._rr_ring = [0] * _RR_RING
+        self._rr_count = 0
+        self._cand_idx = [0] * _CAND_RING
+        self._cand_val = [0.0] * _CAND_RING
+        self._cand_count = 0
         self._mwi_ring = [0.0] * (4 * w)
         self._raw = np.empty(1 << 14, dtype=np.float64)
         self._n_raw = 0
@@ -240,20 +146,122 @@ class QrsDetector:
     def _seed(self, mwi_prefix: np.ndarray) -> None:
         seg = mwi_prefix[: self._seed_n] if self._seed_n > 0 else mwi_prefix
         if seg.shape[0] > 0:
-            self._scal_f[1] = float(seg.max())
-            self._scal_f[2] = float(seg.mean()) / 2.0
+            self._spk = float(seg.max())
+            self._npk = float(seg.mean()) / 2.0
         self._seeded = True
 
-    def _run_scan(self, mwi: np.ndarray) -> list[RPeak]:
-        out = np.empty(mwi.shape[0] // self._refractory + 4, dtype=np.int64)
-        count = _scan(
-            mwi, self._scanned, self._scal_f, self._scal_i, self._rr_ring,
-            self._cand_idx, self._cand_val, self._mwi_ring, out,
-            self._refractory, float(self.fs),
-        )
+    def _scan(self, mwi: np.ndarray) -> list[int]:
+        """Threshold-scan integrated samples; returns accepted peak indices.
+
+        The loop runs once per sample, so it keeps the state in locals and
+        works on Python floats and ints, which are cheaper to touch than
+        numpy scalars. _mwi_ring keeps recent samples for half-height walks.
+        """
+        v_max = self._v_max
+        p_max = self._p_max
+        spk = self._spk
+        npk = self._npk
+        last_qrs = self._last_qrs
+        rr_count = self._rr_count
+        cand_count = self._cand_count
+        rr_ring = self._rr_ring
+        cand_idx = self._cand_idx
+        cand_val = self._cand_val
+        mwi_ring = self._mwi_ring
+        refractory = self._refractory
+        offset = self._scanned
+        cap = len(cand_idx)
+        rcap = len(mwi_ring)
+        out = []
+        for local, y in enumerate(mwi.tolist()):
+            n_abs = offset + local
+            mwi_ring[n_abs % rcap] = y
+            m = -1
+            v = 0.0
+            if y > v_max:
+                v_max = y
+                p_max = n_abs
+            elif v_max > 0.0 and y < 0.5 * v_max:
+                # excursion over: place the candidate at the midpoint of the
+                # half-height span around the apex, which for a symmetric
+                # burst is the burst center plus the integrator's group delay
+                half = 0.5 * v_max
+                floor_idx = n_abs - rcap + 1
+                if floor_idx < 0:
+                    floor_idx = 0
+                i = p_max
+                while i - 1 >= floor_idx and mwi_ring[(i - 1) % rcap] >= half:
+                    i -= 1
+                j = p_max
+                while j + 1 <= n_abs and mwi_ring[(j + 1) % rcap] >= half:
+                    j += 1
+                m = (i + j) // 2
+                v = v_max
+                v_max = y
+                p_max = n_abs
+            if m < 0:
+                continue
+            if last_qrs >= 0 and m - last_qrs <= refractory:
+                continue
+            # running RR mean over the last few accepted intervals
+            if rr_count > 0:
+                k = rr_count if rr_count < _RR_RING else _RR_RING
+                s = 0.0
+                for t in range(k):
+                    s += rr_ring[t]
+                rrm = s / k
+            else:
+                rrm = float(self.fs)
+            if last_qrs >= 0 and m - last_qrs > _SEARCHBACK_RR_FACTOR * rrm:
+                thr = npk + 0.25 * (spk - npk)
+                half = 0.5 * thr
+                best_pos = -1
+                best_val = 0.0
+                start = cand_count - cap
+                if start < 0:
+                    start = 0
+                for t in range(start, cand_count):
+                    p = t % cap
+                    if cand_idx[p] > last_qrs + refractory and cand_val[p] > half:
+                        if best_pos < 0 or cand_val[p] > best_val:
+                            best_pos = p
+                            best_val = cand_val[p]
+                if best_pos >= 0:
+                    bi = cand_idx[best_pos]
+                    spk = 0.25 * best_val + 0.75 * spk
+                    rr_ring[rr_count % _RR_RING] = bi - last_qrs
+                    rr_count += 1
+                    last_qrs = bi
+                    out.append(bi)
+                    if m - last_qrs <= refractory:
+                        continue
+            thr = npk + 0.25 * (spk - npk)
+            if v > thr:
+                spk = 0.125 * v + 0.875 * spk
+                if last_qrs >= 0:
+                    rr_ring[rr_count % _RR_RING] = m - last_qrs
+                    rr_count += 1
+                last_qrs = m
+                out.append(m)
+            else:
+                npk = 0.125 * v + 0.875 * npk
+                p = cand_count % cap
+                cand_idx[p] = m
+                cand_val[p] = v
+                cand_count += 1
+        self._v_max = v_max
+        self._p_max = p_max
+        self._spk = spk
+        self._npk = npk
+        self._last_qrs = last_qrs
+        self._rr_count = rr_count
+        self._cand_count = cand_count
         self._scanned += mwi.shape[0]
+        return out
+
+    def _run_scan(self, mwi: np.ndarray) -> list[RPeak]:
         peaks = []
-        for m in out[:count]:
+        for m in self._scan(mwi):
             center = int(round(m - self._delay))
             lo = max(0, center - self._refine)
             hi = min(self._n_raw - 1, center + self._refine)
@@ -318,3 +326,42 @@ def segment_beat(record, r: RPeak) -> Beat:
         raise BoundaryError(f"window [{start}, {stop}) outside record of length {len(record.samples)}")
     window = np.asarray(record.samples[start:stop], dtype=np.float64)
     return Beat(r=r, window=window, t=r.time_s)
+
+
+@dataclass(frozen=True)
+class RecordBeats:
+    """Every segmentable beat of one record, detected once.
+
+    windows[k] is the N_WINDOW-sample window of the beat at times[k];
+    detected counts every R-peak, including those too near a record end
+    to segment.
+    """
+
+    subject_id: str
+    session_id: str
+    times: np.ndarray  # (B,) float64 seconds
+    windows: np.ndarray  # (B, N_WINDOW) float64
+    detected: int
+    duration_s: float
+
+
+def record_beats(record) -> RecordBeats:
+    """Detect and segment a whole record; drops only boundary beats."""
+    # detect_beats and segment_beat are looked up in this module's globals
+    # at call time, so a caller that rebinds them here (a tracer) sees calls
+    peaks = detect_beats(record)
+    times = []
+    windows = []
+    for r in peaks:
+        try:
+            beat = segment_beat(record, r)
+        except BoundaryError:
+            continue
+        times.append(beat.t)
+        windows.append(beat.window)
+    return RecordBeats(
+        subject_id=record.subject_id, session_id=record.session_id,
+        times=np.asarray(times, dtype=np.float64),
+        windows=(np.stack(windows) if windows
+                 else np.empty((0, N_WINDOW), dtype=np.float64)),
+        detected=len(peaks), duration_s=len(record.samples) / record.fs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ecgauth.enroll import (PipelineParams, amplitude_thresholds, build_template
                             build_template_pack, build_training_set, enroll_subject,
                             load_model, make_subject_model, save_model)
 from ecgauth.errors import ContractError, EnrollmentQualityError, FormatError
+from ecgauth.qrs import record_beats
 from ecgauth.svm import LinearSvm
 from helpers import beat_shape, make_beat, tiny_model
 
@@ -82,7 +85,7 @@ def test_make_subject_model_contract():
 
 @pytest.mark.parametrize("bad", [
     dict(t_avg=0.0), dict(m=0), dict(m=257), dict(r_min=0.0), dict(r_min=1.0),
-    dict(t_v=-1.0), dict(n=0), dict(beta=-0.5), dict(left=256),
+    dict(t_v=-1.0), dict(n=0), dict(beta=-0.5),
 ])
 def test_params_validation(bad):
     with pytest.raises(ContractError):
@@ -94,9 +97,9 @@ def test_params_validation(bad):
 def test_training_set_labels_and_stats(entries3):
     own = next(e for e in entries3
                if e.subject_id == "subj01" and e.role == "enroll")
-    rec = read_record(own.path)
-    pack = build_template_pack([rec], PARAMS)
-    ts = build_training_set([rec], [], PARAMS, pack)
+    beats = record_beats(read_record(own.path))
+    pack = build_template_pack([beats], PARAMS)
+    ts = build_training_set([beats], [], PARAMS, pack)
     assert ts.x.ndim == 2 and ts.x.shape[1] == PARAMS.m
     assert ts.x.shape[0] >= 1
     assert np.all(ts.y == 1.0)
@@ -110,9 +113,10 @@ def test_training_set_amplitude_rejects_scaled_population(entries3):
     own = next(e for e in entries3
                if e.subject_id == "subj01" and e.role == "enroll")
     rec = read_record(own.path)
-    pack = build_template_pack([rec], PARAMS)
-    loud = EcgRecord("subj02", "s1", rec.fs, rec.samples * 10)
-    ts = build_training_set([rec], [loud], PARAMS, pack)
+    beats = record_beats(rec)
+    pack = build_template_pack([beats], PARAMS)
+    loud = record_beats(EcgRecord("subj02", "s1", rec.fs, rec.samples * 10))
+    ts = build_training_set([beats], [loud], PARAMS, pack)
     assert np.all(ts.y == 1.0)  # every population window fails the gate
     neg = [s for s in ts.record_stats if s[2] == 0]
     assert len(neg) == 1
@@ -201,6 +205,18 @@ def test_model_round_trip_preserves_predictions(model3, tmp_path):
     again = tmp_path / "m2.json"
     save_model(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [("n_window", 128), ("left", 77)])
+def test_load_model_rejects_other_beat_window(model3, tmp_path, key, value):
+    path = tmp_path / "m.json"
+    save_model(model3[0], path)
+    doc = json.loads(path.read_text())
+    assert (doc["params"]["n_window"], doc["params"]["left"]) == (256, 78)
+    doc["params"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="n_window"):
+        load_model(path)
 
 
 def test_load_model_rejects_unknown_format(tmp_path):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ecgauth.ecgio import ManifestEntry
-from ecgauth.enroll import PipelineParams
+import ecgauth.evaluation as evaluation
+import ecgauth.qrs as qrs
+from ecgauth.ecgio import ManifestEntry, read_manifest
+from ecgauth.enroll import PipelineParams, enroll_subject
 from ecgauth.errors import ContractError, UndefinedMetricError
 from ecgauth.evaluation import (CellResult, ConfusionCounts, SubjectReport,
                                 SweepCell, bar, fpr, leave_one_out,
@@ -14,6 +19,7 @@ from ecgauth.evaluation import (CellResult, ConfusionCounts, SubjectReport,
                                 write_report_csv, write_sweep_csv)
 from ecgauth.pipeline import (STATE_AUTHENTICATED, STATE_LOCKED, Timeline,
                               replay_login)
+from ecgauth.synth import default_cohort, write_cohort
 
 PARAMS = PipelineParams()
 
@@ -109,6 +115,65 @@ def test_parallel_run_matches_serial(loo3, entries3):
     reports, cells = leave_one_out(entries3, PARAMS, jobs=2)
     assert reports == loo3[0]
     assert cells == loo3[1]
+
+
+# -- one beat source ---------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def short3(tmp_path_factory):
+    """3-subject cohort with 120 s sessions: enough beats for every cell."""
+    out = tmp_path_factory.mktemp("short3")
+    cohort = [dataclasses.replace(subj, sessions=tuple(
+        dataclasses.replace(sess, record=dataclasses.replace(
+            sess.record, samples=sess.record.samples[: 120 * sess.record.fs]))
+        for sess in subj.sessions)) for subj in default_cohort(3, seed=7)]
+    write_cohort(cohort, out)
+    return read_manifest(out / "manifest.csv")
+
+
+def _count_reads_and_detections(monkeypatch):
+    reads = Counter()
+    detections = Counter()
+    read_record = evaluation.read_record
+    detect_beats = qrs.detect_beats
+
+    def counted_read(path):
+        reads[path] += 1
+        return read_record(path)
+
+    def counted_detect(record):
+        detections[(record.subject_id, record.session_id)] += 1
+        return detect_beats(record)
+
+    monkeypatch.setattr(evaluation, "read_record", counted_read)
+    monkeypatch.setattr(qrs, "detect_beats", counted_detect)
+    return reads, detections
+
+
+def test_leave_one_out_reads_and_detects_each_record_once(short3, monkeypatch):
+    reads, detections = _count_reads_and_detections(monkeypatch)
+    leave_one_out(short3, PARAMS, jobs=1)
+    assert reads == Counter(e.path for e in short3)
+    assert detections == Counter((e.subject_id, e.session_id) for e in short3)
+
+
+def test_sweep_reads_and_detects_each_record_once(short3, monkeypatch):
+    reads, detections = _count_reads_and_detections(monkeypatch)
+    cells, _ = parameter_sweep(short3, [12.0, 18.0], [40], PARAMS)
+    assert [(c.t_avg, c.m) for c in cells] == [(12.0, 40), (18.0, 40)]
+    assert reads == Counter(e.path for e in short3)
+    assert detections == Counter((e.subject_id, e.session_id) for e in short3)
+
+
+def test_segmentation_errors_are_not_swallowed(short3, monkeypatch):
+    def broken(record, r):
+        raise ValueError("segmentation bug")
+
+    monkeypatch.setattr(qrs, "segment_beat", broken)
+    with pytest.raises(ValueError, match="segmentation bug"):
+        enroll_subject(short3, "subj01", PARAMS)
+    with pytest.raises(ValueError, match="segmentation bug"):
+        leave_one_out(short3, PARAMS)
 
 
 # -- timeline metrics ----------------------------------------------------------

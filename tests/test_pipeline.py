@@ -10,6 +10,7 @@ from ecgauth.beatmath import (DctMatrix, cluster_ranks, dct_features,
 from ecgauth.ecgio import EcgRecord, read_record
 from ecgauth.enroll import PipelineParams
 from ecgauth.errors import ContractError
+from ecgauth.qrs import N_WINDOW, record_beats
 from ecgauth.pipeline import (KIND_NEGATIVE, KIND_POSITIVE, KIND_REJECTED,
                               KIND_TRANSITION, STATE_AUTHENTICATED, STATE_LOCKED,
                               FeatureStream, VerificationPipeline, collect_features,
@@ -57,7 +58,7 @@ def test_stream_keeps_exactly_the_recent_beats():
     v = beat_shape()
     rng = np.random.default_rng(4)
     stream = _accepting_stream()
-    dct = DctMatrix.build(PARAMS.n_window, PARAMS.m)
+    dct = DctMatrix.build(N_WINDOW, PARAMS.m)
     kept_times: list[float] = []
     kept_windows: list[np.ndarray] = []
     t = 0.0
@@ -209,7 +210,7 @@ def test_streamed_timeline_matches_replay(streamed3):
 
 def test_collect_features_agrees_with_streaming(streamed3):
     model, record, timeline = streamed3
-    batch = collect_features(record, model.pack(), model.params)
+    batch = collect_features(record_beats(record), model.pack(), model.params)
     assert batch.features.shape == (timeline.n_positive + timeline.n_negative,
                                     model.params.m)
     assert batch.n_rejected == timeline.n_rejected

@@ -16,10 +16,10 @@ import pytest
 from scipy.signal import lfilter
 
 import ecgauth
-from ecgauth.ecgio import EcgRecord
+from ecgauth.ecgio import EcgRecord, read_record
 from ecgauth.errors import BoundaryError, ContractError
 from ecgauth.qrs import (LEFT, N_WINDOW, QrsDetector, RPeak, _fir, detect_beats,
-                         segment_beat)
+                         record_beats, segment_beat)
 from ecgauth.synth import SubjectMorphology, generate_record
 from helpers import match_peaks
 
@@ -184,3 +184,35 @@ def test_segment_beat_boundary_errors():
     with pytest.raises(BoundaryError):
         segment_beat(record, RPeak(index=200, time_s=200 / FS))
     segment_beat(record, RPeak(index=78, time_s=78 / FS))  # exactly enough context
+
+
+def test_record_beats_is_detect_then_segment(cohort3_dir):
+    full = read_record(cohort3_dir / "records" / "subj01_s1.csv")
+    head = dataclasses.replace(full, samples=full.samples[: 60 * FS])
+    # end the record 10 samples short of the last peak's window, so that
+    # peak is detected but cannot be segmented
+    end = detect_beats(head)[-1].index + (N_WINDOW - LEFT) - 10
+    record = dataclasses.replace(full, samples=full.samples[:end])
+    peaks = detect_beats(record)
+    beats = []
+    for r in peaks:
+        try:
+            beats.append(segment_beat(record, r))
+        except BoundaryError:
+            pass
+    assert len(beats) == len(peaks) - 1  # the boundary drop
+
+    got = record_beats(record)
+    assert (got.subject_id, got.session_id) == ("subj01", "s1")
+    assert got.detected == len(peaks)
+    assert got.duration_s == end / FS
+    assert got.times.dtype == np.float64 and got.windows.dtype == np.float64
+    assert got.times.tolist() == [b.t for b in beats]
+    assert np.array_equal(got.windows, np.stack([b.window for b in beats]))
+
+
+def test_record_beats_of_a_beatless_record():
+    got = record_beats(EcgRecord("s", "a", FS, np.zeros(5 * FS, dtype=np.int64)))
+    assert got.detected == 0
+    assert got.times.shape == (0,) and got.windows.shape == (0, N_WINDOW)
+    assert got.duration_s == 5.0
