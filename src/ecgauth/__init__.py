@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 
 from .beatmath import (DctMatrix, cluster_ranks, dct_features, kaiser_weights,
                        pearson, weighted_average)
-from .ecgio import (EcgRecord, ManifestEntry, read_manifest, read_record,
-                    write_manifest, write_record)
-from .enroll import (PipelineParams, SubjectModel, amplitude_thresholds,
-                     build_template, build_training_set, enroll_subject,
-                     load_model, save_model)
+from .ecgio import (EcgRecord, ManifestEntry, manifest_beats, read_manifest,
+                    read_record, write_manifest, write_record)
+from .enroll import (PipelineParams, SubjectModel, enroll_owner, enroll_subject,
+                     load_model, owner_features, save_model)
 from .errors import (BoundaryError, ContractError, EcgAuthError,
                      EnrollmentQualityError, FormatError, ParseError,
                      UndefinedMetricError, ZeroVarianceError)

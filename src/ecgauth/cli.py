@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import __version__
-from .ecgio import read_manifest, read_record
-from .enroll import PipelineParams, enroll_subject, load_model
+from .ecgio import TRAIN_ROLES, manifest_beats, read_manifest, read_record
+from .enroll import PipelineParams, enroll_owner, load_model, owners, save_model
 from .errors import ContractError, EcgAuthError
 from .evaluation import (leave_one_out, parameter_sweep, timeline_metrics,
                          write_report_csv, write_sweep_csv)
@@ -78,16 +78,15 @@ def cmd_enroll(args) -> int:
         "params": _params_config(params),
     })
     entries = read_manifest(args.manifest)
-    subjects = sorted({e.subject_id for e in entries})
-    owners = [s for s in subjects
-              if any(e.subject_id == s and e.role == "enroll" for e in entries)
-              and any(e.subject_id == s and e.role == "test" for e in entries)]
-    if not owners:
-        raise ContractError("manifest has no subject with both enroll and test sessions")
+    subjects = owners(entries)
+    # every owner trains on these records: read and detect each once
+    beats = manifest_beats([e for e in entries if e.role in TRAIN_ROLES], map)
     models_dir = os.path.join(args.out, "models")
+    os.makedirs(models_dir, exist_ok=True)
     provenance = []
-    for subject in owners:
-        _, rows = enroll_subject(entries, subject, params, out_dir=models_dir)
+    for subject in subjects:
+        model, rows = enroll_owner(beats, subject, params)
+        save_model(model, os.path.join(models_dir, f"{subject}.json"))
         provenance.extend(rows)
         print(f"enrolled {subject}")
     with open(os.path.join(args.out, "provenance.csv"), "w", newline="") as fh:

@@ -13,9 +13,19 @@ Record container is a line-oriented UTF-8 CSV:
 Sample indices start at 0 and increase strictly by 1. ADC values are signed
 integers; downstream math promotes to floating point at segmentation time.
 
-A manifest is a CSV with header ``subject,session,path,role`` where role is
-one of enroll, test, intruder-pool, population. Paths are resolved relative
-to the manifest's own directory.
+A manifest is a CSV with header ``subject,session,path,role``. Paths are
+resolved relative to the manifest's own directory. The role says what a
+record is used for:
+
+- enroll: builds its subject's template and positive class, and is a
+  negative training record for every other subject;
+- population: a negative training record for every other subject only;
+- test: its subject's genuine test data, and an attack on every other
+  subject's model;
+- intruder-pool: an attack on every other subject's model only. It is
+  never trained on, never used as genuine data, and never read by enroll.
+
+manifest_beats reads and detects a manifest's records, each once.
 """
 
 from __future__ import annotations
@@ -28,8 +38,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ContractError, FormatError, ParseError
+from .qrs import RecordBeats, record_beats
 
 ROLES = ("enroll", "test", "intruder-pool", "population")
+TRAIN_ROLES = ("enroll", "population")  # roles whose records train other subjects' models
 MANIFEST_HEADER = ("subject", "session", "path", "role")
 
 
@@ -174,6 +186,28 @@ def read_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
                 raise ParseError(f"line {lineno}: record file not found: {rel_path}")
             entries.append(ManifestEntry(subject, session, full, role))
     return entries
+
+
+def _read_beats(path: str) -> RecordBeats:
+    return record_beats(read_record(path))
+
+
+def manifest_beats(entries, run_map) -> dict:
+    """RecordBeats of every distinct entry, each read and detected once.
+
+    run_map maps a function over paths (the builtin map, or a pool's).
+    Raises ContractError when the records' sample rates differ.
+    """
+    unique = list(dict.fromkeys(entries))
+    beats = dict(zip(unique, run_map(_read_beats, [e.path for e in unique])))
+    if unique:
+        first = beats[unique[0]]
+        for b in beats.values():
+            if b.fs != first.fs:
+                raise ContractError(
+                    f"mixed sample rates: {b.subject_id}/{b.session_id} has fs "
+                    f"{b.fs}, {first.subject_id}/{first.session_id} has fs {first.fs}")
+    return beats
 
 
 def write_manifest(rows: Iterable, path: str | os.PathLike) -> None:

@@ -1,10 +1,16 @@
-"""Enrollment: template, amplitude thresholds, training set, subject model.
+"""Enrollment: template, amplitude thresholds, the owner step, subject model.
 
 The template is a two-pass robust mean: an elementwise median beat first,
 then the plain mean of the beats that correlate with that median at
 r_min or better. Enrollment is refused below 30 beats or when fewer than
 half survive the correlation pass, since a poor template poisons every
 later verification.
+
+owner_features is the one owner step, shared with leave-one-out: it builds
+the owner's template pack from its enroll-role records and streams every
+record's beats through it. enroll_subject reads only the records it trains
+on; enroll_owner trains from beats that manifest_beats read once, so
+enrolling every owner of a manifest reads and detects each record once.
 
 Model files are JSON with every float printed to 17 significant digits, so
 a load(save(m)) round-trip reproduces bit-identical predictions.
@@ -20,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beatmath import pearson
+from .ecgio import TRAIN_ROLES, manifest_beats
 from .errors import (ContractError, EnrollmentQualityError, FormatError,
                      ZeroVarianceError)
-from .qrs import LEFT, N_WINDOW, RecordBeats, record_beats
+from .qrs import LEFT, N_WINDOW, RecordBeats
 from .svm import LinearSvm, train_svm
 
 MODEL_FORMAT_VERSION = 1
@@ -105,10 +112,6 @@ def make_subject_model(subject_id: str, fs: int, template: np.ndarray,
                         template_mean=mean, template_sdev=sdev)
 
 
-def _windows(beats) -> np.ndarray:
-    return np.stack([np.asarray(b.window, dtype=np.float64) for b in beats])
-
-
 def _template_and_survivors(w: np.ndarray, r_min: float) -> tuple[np.ndarray, np.ndarray]:
     if len(w) < MIN_ENROLL_BEATS:
         raise EnrollmentQualityError(
@@ -133,19 +136,9 @@ def _template_and_survivors(w: np.ndarray, r_min: float) -> tuple[np.ndarray, np
     return template, kept
 
 
-def build_template(beats, r_min: float = 0.9) -> np.ndarray:
-    """Robust template from enrollment beats; see module docstring."""
-    template, _ = _template_and_survivors(_windows(beats), r_min)
-    return template
-
-
-def amplitude_thresholds(beats) -> tuple[float, float]:
+def _amplitude_thresholds(w: np.ndarray) -> tuple[float, float]:
     """Amplitude gate from the 1st/99th percentiles of per-beat extremes,
     widened by 25% of their spread on each side."""
-    return _amplitude_thresholds(_windows(beats))
-
-
-def _amplitude_thresholds(w: np.ndarray) -> tuple[float, float]:
     mins = w.min(axis=1)
     maxs = w.max(axis=1)
     mn = float(np.percentile(mins, 1.0))
@@ -156,24 +149,10 @@ def _amplitude_thresholds(w: np.ndarray) -> tuple[float, float]:
     return mn - 0.25 * spread, mx + 0.25 * spread
 
 
-@dataclass(frozen=True)
-class TrainingSet:
-    """Labeled feature rows plus row- and record-level provenance."""
-
-    x: np.ndarray
-    y: np.ndarray
-    row_provenance: list  # (subject_id, session_id, label) per row
-    record_stats: list  # (subject_id, session_id, label, detected, rows)
-
-
-def build_template_pack(beats: list[RecordBeats], params: PipelineParams) -> TemplatePack:
-    """Template + thresholds from enroll-role records' beats, ready for streaming."""
-    return _template_pack(beats, params)[0]
-
-
-def _template_pack(beats: list[RecordBeats],
-                   params: PipelineParams) -> tuple[TemplatePack, list[int]]:
-    """The template pack and, per record, how many beats survive its pass."""
+def build_template_pack(beats: list[RecordBeats],
+                        params: PipelineParams) -> tuple[TemplatePack, list[int]]:
+    """Template and amplitude thresholds from enroll-role records' beats (see
+    the module docstring), and per record how many beats survive its pass."""
     w = np.concatenate([b.windows for b in beats])
     template, kept = _template_and_survivors(w, params.r_min)
     amp_lo, amp_hi = _amplitude_thresholds(w[kept])
@@ -185,30 +164,76 @@ def _template_pack(beats: list[RecordBeats],
     return pack, survivors
 
 
-def build_training_set(owner_beats: list[RecordBeats],
-                       population_beats: list[RecordBeats],
-                       params: PipelineParams, pack: TemplatePack) -> TrainingSet:
-    """Stream records' beats through the owner's feature path; label owner rows 1."""
+def owners(entries) -> list[str]:
+    """Subjects with enroll- and test-role records: those enroll and evaluate model."""
+    found = sorted({e.subject_id for e in entries if e.role == "enroll"}
+                   & {e.subject_id for e in entries if e.role == "test"})
+    if not found:
+        raise ContractError("no subject has both enroll and test sessions")
+    return found
+
+
+def _own_enroll(entries, owner: str) -> list:
+    own = sorted((e for e in entries if e.subject_id == owner and e.role == "enroll"),
+                 key=lambda e: e.session_id)
+    if not own:
+        raise ContractError(f"{owner}: no enroll-role records in manifest")
+    return own
+
+
+def owner_features(beats: dict, owner: str, params: PipelineParams):
+    """The owner step: template pack from the owner's enroll-role records,
+    then every record's features through that pack.
+
+    beats maps manifest entries to their RecordBeats. Returns (pack,
+    survivors, positives, batches): survivors as build_template_pack gives
+    them for the enroll-role records in session order, positives those
+    records' feature rows stacked in that order, and batches the
+    FeatureBatch of every entry in beats.
+    """
     from .pipeline import collect_features
 
-    rows = []
-    labels = []
-    row_prov = []
-    rec_stats = []
-    for label, records in ((1, owner_beats), (0, population_beats)):
-        for rec in records:
-            batch = collect_features(rec, pack, params)
-            for k in range(batch.features.shape[0]):
-                rows.append(batch.features[k])
-                labels.append(label)
-                row_prov.append((rec.subject_id, rec.session_id, label))
-            rec_stats.append((rec.subject_id, rec.session_id, label,
-                              batch.beats_detected, batch.features.shape[0]))
-        if label == 1 and not rows:
-            raise EnrollmentQualityError("owner records yield zero feature vectors")
-    x = np.stack(rows)
-    y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
-    return TrainingSet(x=x, y=y, row_provenance=row_prov, record_stats=rec_stats)
+    own = _own_enroll(beats, owner)
+    pack, survivors = build_template_pack([beats[e] for e in own], params)
+    batches = {e: collect_features(b, pack, params) for e, b in beats.items()}
+    positives = np.concatenate([batches[e].features for e in own])
+    if not positives.shape[0]:
+        raise EnrollmentQualityError(f"{owner}: enroll records yield zero feature vectors")
+    return pack, survivors, positives, batches
+
+
+def _training_entries(entries, owner: str) -> tuple[list, list]:
+    """The owner's enroll-role entries by session, and every other subject's
+    training-role entries by (subject, session, role)."""
+    own = _own_enroll(entries, owner)
+    pop = sorted((e for e in entries if e.subject_id != owner and e.role in TRAIN_ROLES),
+                 key=lambda e: (e.subject_id, e.session_id, e.role))
+    if not pop:
+        raise ContractError(f"{owner}: no population subjects in manifest")
+    return own, pop
+
+
+def enroll_owner(beats: dict, owner: str, params: PipelineParams):
+    """One owner's model from manifest_beats output; see enroll_subject.
+
+    Only the owner's enroll-role records and every other subject's
+    enroll/population-role records in beats are used.
+    """
+    params.validate()
+    own, pop = _training_entries(beats, owner)
+    pack, survivors, positives, batches = owner_features(
+        {e: beats[e] for e in own + pop}, owner, params)
+    negatives = np.concatenate([batches[e].features for e in pop])
+    x = np.concatenate([positives, negatives])
+    y = np.concatenate([np.ones(positives.shape[0]), -np.ones(negatives.shape[0])])
+    svm, _ = train_svm(x, y)
+    model = make_subject_model(owner, beats[own[0]].fs, pack.template, pack.amp_lo,
+                               pack.amp_hi, svm, params)
+    provenance = ([(owner, e.session_id, "enroll", beats[e].detected, n_kept)
+                   for e, n_kept in zip(own, survivors)]
+                  + [(e.subject_id, e.session_id, e.role, batches[e].beats_detected,
+                      batches[e].features.shape[0]) for e in pop])
+    return model, provenance
 
 
 def enroll_subject(entries, subject_id: str, params: PipelineParams,
@@ -217,51 +242,15 @@ def enroll_subject(entries, subject_id: str, params: PipelineParams,
 
     Uses the subject's enroll-role records for the template and positive
     class, and every other subject's enroll/population-role records as the
-    negative class. Records with role=test are never read here.
+    negative class. No other record is read.
 
     Returns (model, provenance_rows) where provenance_rows are
     (subject_id, session_id, role, beats_detected, beats_surviving) per
     record that was read.
     """
-    from .ecgio import read_record
-
     params.validate()
-    own = [e for e in entries if e.subject_id == subject_id and e.role == "enroll"]
-    if not own:
-        raise ContractError(f"{subject_id}: no enroll-role records in manifest")
-    pop = [e for e in entries if e.subject_id != subject_id
-           and e.role in ("enroll", "population")]
-    if not pop:
-        raise ContractError(f"{subject_id}: no population subjects in manifest")
-    own = sorted(own, key=lambda e: e.session_id)
-    pop = sorted(pop, key=lambda e: (e.subject_id, e.session_id))
-
-    own_records = [read_record(e.path) for e in own]
-    fs = own_records[0].fs
-    for rec in own_records:
-        if rec.fs != fs:
-            raise ContractError(f"{subject_id}: mixed sample rates in enroll records")
-    own_beats = [record_beats(rec) for rec in own_records]
-    pack, survivors = _template_pack(own_beats, params)
-    provenance = [(subject_id, b.session_id, "enroll", b.detected, n_kept)
-                  for b, n_kept in zip(own_beats, survivors)]
-
-    pop_beats = []
-    for e in pop:
-        rec = read_record(e.path)
-        if rec.fs != fs:
-            raise ContractError(
-                f"{subject_id}: population record {rec.subject_id}/{rec.session_id} "
-                f"has fs {rec.fs}, model is {fs}")
-        pop_beats.append(record_beats(rec))
-    ts = build_training_set(own_beats, pop_beats, params, pack)
-    role_of = {(e.subject_id, e.session_id): e.role for e in pop}
-    for subj, sess, label, detected, n_rows in ts.record_stats:
-        if label == 0:
-            provenance.append((subj, sess, role_of[(subj, sess)], detected, n_rows))
-    svm, _ = train_svm(ts.x, ts.y)
-    model = make_subject_model(subject_id, fs, pack.template, pack.amp_lo,
-                               pack.amp_hi, svm, params)
+    own, pop = _training_entries(entries, subject_id)
+    model, provenance = enroll_owner(manifest_beats(own + pop, map), subject_id, params)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_model(model, os.path.join(out_dir, f"{subject_id}.json"))

@@ -3,12 +3,14 @@
 For every multi-session owner S and every other subject I, a classifier is
 trained with I withheld from the negative population, then tested on S's
 held-out test sessions (genuine) and on all of I's sessions (intruder).
+An intruder-pool record is only ever such an attack.
 A record's beats depend on nothing but the record, so each manifest record
 is read and detected once per evaluation (once per sweep), in parallel
 under jobs > 1. Its feature sequence depends only on the owner's template
-pack and the parameters, never on the classifier, so the beats are
-streamed once per owner and the per-intruder work reduces to SVM training
-plus margin evaluation over cached features.
+pack and the parameters, never on the classifier, so enrollment's owner
+step (owner_features) streams the beats once per owner and the
+per-intruder work reduces to SVM training plus margin evaluation over
+cached features.
 
 Undefined rates (a zero denominator) propagate as N/A; they are never
 silently reported as zero.
@@ -24,11 +26,10 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .ecgio import read_record
-from .enroll import PipelineParams, build_template_pack
+from .ecgio import TRAIN_ROLES, manifest_beats
+from .enroll import PipelineParams, owner_features, owners
 from .errors import ContractError, UndefinedMetricError
-from .pipeline import Timeline, collect_features, replay_login
-from .qrs import RecordBeats, record_beats
+from .pipeline import Timeline, replay_login
 from .svm import train_svm
 
 
@@ -88,11 +89,10 @@ class SubjectReport:
 
 
 def _check_session_separation(entries) -> None:
-    train_roles = ("enroll", "population")
     by_subject: dict[str, dict[str, set]] = {}
     for e in entries:
         slot = by_subject.setdefault(e.subject_id, {"train": set(), "test": set()})
-        slot["train" if e.role in train_roles else "test"].add(e.session_id)
+        slot["train" if e.role in TRAIN_ROLES else "test"].add(e.session_id)
     for subject, slot in by_subject.items():
         overlap = slot["train"] & slot["test"]
         if overlap:
@@ -101,52 +101,38 @@ def _check_session_separation(entries) -> None:
                 f"training and test roles")
 
 
-def _read_beats(path: str) -> RecordBeats:
-    return record_beats(read_record(path))
-
-
-def _manifest_beats(entries, run_map) -> dict:
-    """RecordBeats of every distinct manifest entry."""
-    unique = list(dict.fromkeys(entries))
-    return dict(zip(unique, run_map(_read_beats, [e.path for e in unique])))
+def _replay(svm, batches: list, params: PipelineParams) -> tuple[int, int, list[Timeline]]:
+    """Positive and negative decision counts over batches, and each one's timeline."""
+    n_pos = n_neg = 0
+    timelines = []
+    for batch in batches:
+        if batch.features.shape[0]:
+            pos_mask = svm.margins(batch.features) > 0.0
+        else:
+            pos_mask = np.zeros(0, dtype=bool)
+        n_pos += int(pos_mask.sum())
+        n_neg += int((~pos_mask).sum())
+        timelines.append(replay_login(
+            batch.times, pos_mask, batch.duration_s, params.t_v, params.n))
+    return n_pos, n_neg, timelines
 
 
 def _eval_owner(entries, beats: dict, owner: str, params: PipelineParams,
                 c: float) -> list[CellResult]:
-    own_enroll = sorted((e for e in entries
-                         if e.subject_id == owner and e.role == "enroll"),
-                        key=lambda e: e.session_id)
-    own_test = sorted((e for e in entries
-                       if e.subject_id == owner and e.role == "test"),
-                      key=lambda e: e.session_id)
+    _, _, positives, batches = owner_features(beats, owner, params)
+    genuine_batches = [batches[e] for e in sorted(
+        (e for e in entries if e.subject_id == owner and e.role == "test"),
+        key=lambda e: e.session_id)]
     others = sorted({e.subject_id for e in entries} - {owner})
-
-    enroll_beats = [beats[e] for e in own_enroll]
-    pack = build_template_pack(enroll_beats, params)
-
-    pos_feats = [collect_features(b, pack, params).features
-                 for b in enroll_beats]
-    positives = np.concatenate([f for f in pos_feats if f.shape[0]])
-
-    genuine_batches = [collect_features(beats[e], pack, params)
-                       for e in own_test]
-    neg_pool: dict[str, list[np.ndarray]] = {}
-    attack_batches: dict[str, list] = {}
-    for subject in others:
-        neg_pool[subject] = []
-        attack_batches[subject] = []
-        subj_entries = sorted((e for e in entries if e.subject_id == subject),
-                              key=lambda e: (e.session_id, e.role))
-        for e in subj_entries:
-            batch = collect_features(beats[e], pack, params)
-            if e.role in ("enroll", "population"):
-                neg_pool[subject].append(batch.features)
-            attack_batches[subject].append(batch)
+    by_subject = {subject: sorted((e for e in entries if e.subject_id == subject),
+                                  key=lambda e: (e.session_id, e.role))
+                  for subject in others}
 
     cells = []
     for intruder in others:
-        neg_parts = [f for subject in others if subject != intruder
-                     for f in neg_pool[subject] if f.shape[0]]
+        neg_parts = [batches[e].features for subject in others if subject != intruder
+                     for e in by_subject[subject]
+                     if e.role in TRAIN_ROLES and batches[e].features.shape[0]]
         if not neg_parts:
             raise ContractError(
                 f"{owner} vs {intruder}: no negative training rows survive "
@@ -157,29 +143,12 @@ def _eval_owner(entries, beats: dict, owner: str, params: PipelineParams,
                             -np.ones(negatives.shape[0])])
         svm, _ = train_svm(x, y, c=c)
 
-        counts = ConfusionCounts()
-        genuine_timelines = []
-        for batch in genuine_batches:
-            if batch.features.shape[0]:
-                pos_mask = svm.margins(batch.features) > 0.0
-            else:
-                pos_mask = np.zeros(0, dtype=bool)
-            counts.tp += int(pos_mask.sum())
-            counts.fn += int((~pos_mask).sum())
-            genuine_timelines.append(replay_login(
-                batch.times, pos_mask, batch.duration_s, params.t_v, params.n))
-        intruder_timelines = []
-        for batch in attack_batches[intruder]:
-            if batch.features.shape[0]:
-                pos_mask = svm.margins(batch.features) > 0.0
-            else:
-                pos_mask = np.zeros(0, dtype=bool)
-            counts.fp += int(pos_mask.sum())
-            counts.tn += int((~pos_mask).sum())
-            intruder_timelines.append(replay_login(
-                batch.times, pos_mask, batch.duration_s, params.t_v, params.n))
+        tp, fn, genuine_timelines = _replay(svm, genuine_batches, params)
+        fp, tn, intruder_timelines = _replay(
+            svm, [batches[e] for e in by_subject[intruder]], params)
         cells.append(CellResult(
-            owner=owner, intruder=intruder, counts=counts,
+            owner=owner, intruder=intruder,
+            counts=ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp),
             genuine_timelines=genuine_timelines,
             intruder_timelines=intruder_timelines,
             genuine_seconds=sum(b.duration_s for b in genuine_batches),
@@ -215,17 +184,11 @@ def _aggregate(owner: str, cells: list[CellResult]) -> SubjectReport:
 
 def _owners(entries) -> list[str]:
     """Subjects with enroll and test sessions, after the manifest checks."""
-    subjects = sorted({e.subject_id for e in entries})
+    subjects = {e.subject_id for e in entries}
     if len(subjects) < 3:
         raise ContractError(f"leave-one-out needs at least 3 subjects, got {len(subjects)}")
     _check_session_separation(entries)
-    owners = sorted(
-        s for s in subjects
-        if any(e.subject_id == s and e.role == "enroll" for e in entries)
-        and any(e.subject_id == s and e.role == "test" for e in entries))
-    if not owners:
-        raise ContractError("no subject has both enroll and test sessions")
-    return owners
+    return owners(entries)
 
 
 @contextmanager
@@ -254,7 +217,7 @@ def leave_one_out(entries, params: PipelineParams, jobs: int = 1,
     entries = tuple(entries)
     owners = _owners(entries)
     with _mapper(jobs) as run_map:
-        beats = _manifest_beats(entries, run_map)
+        beats = manifest_beats(entries, run_map)
         return _leave_one_out(entries, beats, owners, params, c, run_map)
 
 
@@ -300,7 +263,7 @@ def parameter_sweep(entries, t_avg_grid, m_grid, params: PipelineParams,
     cells = []
     with _mapper(jobs) as run_map:
         # beats depend on no sweep parameter: detect once for the whole grid
-        beats = _manifest_beats(entries, run_map)
+        beats = manifest_beats(entries, run_map)
         for p in grid:
             _, loo_cells = _leave_one_out(entries, beats, owners, p, 1.0, run_map)
             bars = []

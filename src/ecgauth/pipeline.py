@@ -178,13 +178,12 @@ class Timeline:
 
 
 class VerificationPipeline:
-    """One model, one stream: produces events, rows, and the Timeline."""
+    """One model, one stream: an event per beat, export rows, and the Timeline."""
 
     def __init__(self, model: SubjectModel):
         self.model = model
         self.stream = FeatureStream(model.pack(), model.params)
         self.login = _LoginState(model.params.t_v, model.params.n)
-        self.events: list[VerificationEvent] = []
         self.rows: list[tuple] = []
         self._counts = {KIND_POSITIVE: 0, KIND_NEGATIVE: 0, KIND_REJECTED: 0}
 
@@ -212,11 +211,9 @@ class VerificationPipeline:
             else:
                 self._transition_rows(self.login.advance(t))
         self._counts[kind] += 1
-        event = VerificationEvent(t=t, kind=kind, margin=margin,
-                                  contributing=contributing)
-        self.events.append(event)
         self.rows.append((t, kind, margin, contributing, self.login.state))
-        return event
+        return VerificationEvent(t=t, kind=kind, margin=margin,
+                                 contributing=contributing)
 
     def finish(self, duration_s: float) -> Timeline:
         self._transition_rows(self.login.advance(duration_s))
@@ -229,27 +226,21 @@ class VerificationPipeline:
 
 
 def stream_record(model: SubjectModel, record) -> Timeline:
-    """Run a whole record through the pipeline with the 1 Hz decision tick.
+    """Run a whole record through the pipeline, beat by beat.
 
-    At an instant where a tick and a beat coincide, the tick is applied
-    first; both orders yield the same state because transitions are exact,
-    but the row order in the export must be deterministic.
+    No clock tick is needed. A lockout is backdated to its expiry instant
+    and only a positive beat can authenticate, so at most one transition
+    falls due between two beats. The next beat, or finish, writes that
+    transition's row at its own instant and ahead of the beat's row, which
+    is where a 1 Hz tick would have put it.
     """
     if record.fs != model.fs:
         raise ContractError(f"record fs {record.fs} does not match model fs {model.fs}")
     pipe = VerificationPipeline(model)
     beats = record_beats(record)
-    duration = beats.duration_s
-    next_tick = 1.0
     for t, window in zip(beats.times.tolist(), beats.windows):
-        while next_tick <= t and next_tick <= duration:
-            pipe.tick(next_tick)
-            next_tick += 1.0
         pipe.process_window(window, t)
-    while next_tick <= duration:
-        pipe.tick(next_tick)
-        next_tick += 1.0
-    return pipe.finish(duration)
+    return pipe.finish(beats.duration_s)
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,7 @@ class RecordBeats:
 
     subject_id: str
     session_id: str
+    fs: int
     times: np.ndarray  # (B,) float64 seconds
     windows: np.ndarray  # (B, N_WINDOW) float64
     detected: int
@@ -361,7 +362,7 @@ def record_beats(record) -> RecordBeats:
         windows.append(beat.window)
     return RecordBeats(
         subject_id=record.subject_id, session_id=record.session_id,
-        times=np.asarray(times, dtype=np.float64),
+        fs=record.fs, times=np.asarray(times, dtype=np.float64),
         windows=(np.stack(windows) if windows
                  else np.empty((0, N_WINDOW), dtype=np.float64)),
         detected=len(peaks), duration_s=len(record.samples) / record.fs)

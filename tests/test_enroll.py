@@ -1,4 +1,4 @@
-"""Template building, quality gates, training-set assembly, persistence."""
+"""Template building, quality gates, the owner step, persistence."""
 
 from __future__ import annotations
 
@@ -8,62 +8,69 @@ import numpy as np
 import pytest
 
 from ecgauth.ecgio import EcgRecord, ManifestEntry, read_record, write_record
-from ecgauth.enroll import (PipelineParams, amplitude_thresholds, build_template,
-                            build_template_pack, build_training_set, enroll_subject,
-                            load_model, make_subject_model, save_model)
+from ecgauth.enroll import (PipelineParams, build_template_pack, enroll_subject,
+                            load_model, make_subject_model, owner_features,
+                            save_model)
 from ecgauth.errors import ContractError, EnrollmentQualityError, FormatError
-from ecgauth.qrs import record_beats
+from ecgauth.qrs import RecordBeats, record_beats
 from ecgauth.svm import LinearSvm
-from helpers import beat_shape, make_beat, tiny_model
+from helpers import beat_shape, tiny_model
 
 PARAMS = PipelineParams()
 
 
-def _beats(windows, spacing_s=1.0):
-    return [make_beat(w, 0.5 + k * spacing_s) for k, w in enumerate(windows)]
+def _pack(windows):
+    """build_template_pack over one record whose beats are these windows, 1 s apart."""
+    w = np.asarray(windows, dtype=np.float64)
+    beats = RecordBeats(subject_id="unit", session_id="s1", fs=512,
+                        times=0.5 + np.arange(len(w), dtype=np.float64),
+                        windows=w, detected=len(w), duration_s=len(w) + 1.0)
+    pack, _ = build_template_pack([beats], PARAMS)
+    return pack
 
 
 # -- template ----------------------------------------------------------------
 
 def test_template_of_identical_beats_is_that_beat():
     v = beat_shape()
-    template = build_template(_beats([v.copy() for _ in range(30)]))
+    template = _pack([v.copy() for _ in range(30)]).template
     assert np.abs(template - v).max() <= 1e-9
 
 
 def test_template_ignores_decorrelated_outlier():
     v = beat_shape()
     windows = [v.copy() for _ in range(29)] + [-v]
-    template = build_template(_beats(windows))
+    template = _pack(windows).template
     assert np.abs(template - v).max() <= 1e-9
 
 
 def test_too_few_beats_refused():
     v = beat_shape()
     with pytest.raises(EnrollmentQualityError, match="at least 30"):
-        build_template(_beats([v.copy() for _ in range(20)]))
+        _pack([v.copy() for _ in range(20)])
 
 
 def test_incoherent_beats_refused():
     rng = np.random.default_rng(8)
     windows = list(100.0 * rng.standard_normal((30, 256)))
     with pytest.raises(EnrollmentQualityError, match="survive"):
-        build_template(_beats(windows))
+        _pack(windows)
 
 
 # -- amplitude gate ----------------------------------------------------------
 
 def test_amplitude_thresholds_exact_on_uniform_extremes():
     w = np.linspace(-100.0, 300.0, 256)
-    lo, hi = amplitude_thresholds(_beats([w.copy() for _ in range(40)]))
-    assert (lo, hi) == (-200.0, 400.0)
+    pack = _pack([w.copy() for _ in range(40)])
+    assert (pack.amp_lo, pack.amp_hi) == (-200.0, 400.0)
 
 
 def test_amplitude_thresholds_bracket_observed_range():
     rng = np.random.default_rng(9)
     v = beat_shape()
     windows = [v * s for s in rng.normal(1.0, 0.05, 35)]
-    lo, hi = amplitude_thresholds(_beats(windows))
+    pack = _pack(windows)
+    lo, hi = pack.amp_lo, pack.amp_hi
     mins = np.array([w.min() for w in windows])
     maxs = np.array([w.max() for w in windows])
     assert lo < mins.min() <= maxs.max() < hi
@@ -92,37 +99,38 @@ def test_params_validation(bad):
         PipelineParams(**bad).validate()
 
 
-# -- training set ------------------------------------------------------------
+# -- owner step ----------------------------------------------------------------
 
-def test_training_set_labels_and_stats(entries3):
-    own = next(e for e in entries3
-               if e.subject_id == "subj01" and e.role == "enroll")
+def _own_entry(entries3):
+    return next(e for e in entries3
+                if e.subject_id == "subj01" and e.role == "enroll")
+
+
+def test_owner_features_positives_and_stats(entries3):
+    own = _own_entry(entries3)
     beats = record_beats(read_record(own.path))
-    pack = build_template_pack([beats], PARAMS)
-    ts = build_training_set([beats], [], PARAMS, pack)
-    assert ts.x.ndim == 2 and ts.x.shape[1] == PARAMS.m
-    assert ts.x.shape[0] >= 1
-    assert np.all(ts.y == 1.0)
-    assert all(p == ("subj01", "s1", 1) for p in ts.row_provenance)
-    (subj, sess, label, detected, n_rows), = ts.record_stats
-    assert (subj, sess, label) == ("subj01", "s1", 1)
-    assert detected >= n_rows and n_rows == ts.x.shape[0]
+    pack, survivors, positives, batches = owner_features({own: beats}, "subj01", PARAMS)
+    assert positives.ndim == 2 and positives.shape[1] == PARAMS.m
+    assert positives.shape[0] >= 1
+    assert np.array_equal(batches[own].features, positives)
+    assert batches[own].beats_detected == beats.detected
+    assert beats.detected >= positives.shape[0]
+    alone, alone_survivors = build_template_pack([beats], PARAMS)
+    assert survivors == alone_survivors
+    assert np.array_equal(pack.template, alone.template)
+    assert (pack.amp_lo, pack.amp_hi) == (alone.amp_lo, alone.amp_hi)
 
 
-def test_training_set_amplitude_rejects_scaled_population(entries3):
-    own = next(e for e in entries3
-               if e.subject_id == "subj01" and e.role == "enroll")
+def test_owner_features_amplitude_rejects_scaled_population(entries3):
+    own = _own_entry(entries3)
     rec = read_record(own.path)
-    beats = record_beats(rec)
-    pack = build_template_pack([beats], PARAMS)
-    loud = record_beats(EcgRecord("subj02", "s1", rec.fs, rec.samples * 10))
-    ts = build_training_set([beats], [loud], PARAMS, pack)
-    assert np.all(ts.y == 1.0)  # every population window fails the gate
-    neg = [s for s in ts.record_stats if s[2] == 0]
-    assert len(neg) == 1
-    subj, sess, _, detected, n_rows = neg[0]
-    assert (subj, sess) == ("subj02", "s1")
-    assert detected > 0 and n_rows == 0
+    loud_entry = ManifestEntry("subj02", "s1", "loud.csv", "population")
+    beats = {own: record_beats(rec),
+             loud_entry: record_beats(EcgRecord("subj02", "s1", rec.fs, rec.samples * 10))}
+    _, _, positives, batches = owner_features(beats, "subj01", PARAMS)
+    assert positives.shape[0] > 0
+    loud = batches[loud_entry]  # every population window fails the gate
+    assert loud.beats_detected > 0 and loud.features.shape[0] == 0
 
 
 # -- enrollment from a manifest ----------------------------------------------

@@ -8,9 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import ecgauth.evaluation as evaluation
+import ecgauth.ecgio as ecgio
 import ecgauth.qrs as qrs
-from ecgauth.ecgio import ManifestEntry, read_manifest
+from ecgauth.cli import main
+from ecgauth.ecgio import (EcgRecord, ManifestEntry, read_manifest, write_manifest,
+                           write_record)
 from ecgauth.enroll import PipelineParams, enroll_subject
 from ecgauth.errors import ContractError, UndefinedMetricError
 from ecgauth.evaluation import (CellResult, ConfusionCounts, SubjectReport,
@@ -134,7 +136,7 @@ def short3(tmp_path_factory):
 def _count_reads_and_detections(monkeypatch):
     reads = Counter()
     detections = Counter()
-    read_record = evaluation.read_record
+    read_record = ecgio.read_record
     detect_beats = qrs.detect_beats
 
     def counted_read(path):
@@ -145,7 +147,7 @@ def _count_reads_and_detections(monkeypatch):
         detections[(record.subject_id, record.session_id)] += 1
         return detect_beats(record)
 
-    monkeypatch.setattr(evaluation, "read_record", counted_read)
+    monkeypatch.setattr(ecgio, "read_record", counted_read)
     monkeypatch.setattr(qrs, "detect_beats", counted_detect)
     return reads, detections
 
@@ -163,6 +165,45 @@ def test_sweep_reads_and_detects_each_record_once(short3, monkeypatch):
     assert [(c.t_avg, c.m) for c in cells] == [(12.0, 40), (18.0, 40)]
     assert reads == Counter(e.path for e in short3)
     assert detections == Counter((e.subject_id, e.session_id) for e in short3)
+
+
+def test_enroll_command_reads_and_detects_each_training_record_once(
+        short3, monkeypatch, tmp_path):
+    reads, detections = _count_reads_and_detections(monkeypatch)
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(short3, manifest)
+    assert main(["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 0
+    enrolled = [e for e in short3 if e.role == "enroll"]
+    assert len(enrolled) == 3
+    assert reads == Counter(e.path for e in enrolled)
+    assert detections == Counter((e.subject_id, e.session_id) for e in enrolled)
+
+
+def test_mixed_sample_rates_refused(short3, tmp_path):
+    slow = next(e for e in short3 if e.subject_id == "subj03" and e.role == "enroll")
+    rec = ecgio.read_record(slow.path)
+    path = tmp_path / "slow.csv"
+    write_record(EcgRecord(rec.subject_id, rec.session_id, 256, rec.samples), path)
+    entries = [dataclasses.replace(e, path=str(path)) if e == slow else e for e in short3]
+    message = "mixed sample rates: subj03/s1 has fs 256, subj01/s1 has fs 512"
+    with pytest.raises(ContractError, match=message):
+        enroll_subject(entries, "subj01", PARAMS)
+    with pytest.raises(ContractError, match=message):
+        leave_one_out(entries, PARAMS)
+
+
+def test_intruder_pool_record_only_attacks(short3, tmp_path):
+    base_reports, base_cells = leave_one_out(short3, PARAMS)
+    other = default_cohort(4, seed=11)[3].sessions[0].record
+    path = tmp_path / "pool.csv"
+    write_record(EcgRecord("subj04", "s1", other.fs, other.samples[: 120 * other.fs]), path)
+    pool = ManifestEntry("subj04", "s1", str(path), "intruder-pool")
+    reports, cells = leave_one_out(list(short3) + [pool], PARAMS)
+    assert [c for c in cells if c.intruder != "subj04"] == base_cells
+    added = [c for c in cells if c.intruder == "subj04"]
+    assert sorted(c.owner for c in added) == ["subj01", "subj02", "subj03"]
+    assert all(len(c.intruder_timelines) == 1 for c in added)
+    assert [r.subject_id for r in reports] == [r.subject_id for r in base_reports]
 
 
 def test_segmentation_errors_are_not_swallowed(short3, monkeypatch):

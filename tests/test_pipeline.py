@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,39 @@ def test_stream_record_rejects_sample_rate_mismatch(model3):
     record = EcgRecord("x", "s1", 256, np.zeros(256, dtype=np.int64))
     with pytest.raises(ContractError, match="fs"):
         stream_record(model, record)
+
+
+def test_stream_record_matches_tick_driven_run(model3, entries3):
+    """stream_record runs no clock tick: on an owner -> intruder -> owner
+    stream tuned to lock out often, a 1 Hz tick-driven run of the same beats
+    gives the same timeline, row for row."""
+    model, _ = model3
+    model = dataclasses.replace(model, params=dataclasses.replace(
+        model.params, t_avg=2.0, r_min=0.98, t_v=3.0, n=3))
+    paths = {(e.subject_id, e.role): e.path for e in entries3}
+    owner = read_record(paths[("subj01", "test")]).samples
+    intruder = read_record(paths[("subj02", "test")]).samples
+    minute = 60 * model.fs
+    record = EcgRecord("mix", "s1", model.fs, np.concatenate(
+        [owner[:minute], intruder[:minute], owner[minute:2 * minute]]))
+
+    pipe = VerificationPipeline(model)
+    beats = record_beats(record)
+    next_tick = 1.0
+    for t, window in zip(beats.times.tolist(), beats.windows):
+        while next_tick <= t:
+            pipe.tick(next_tick)
+            next_tick += 1.0
+        pipe.process_window(window, t)
+    while next_tick <= beats.duration_s:
+        pipe.tick(next_tick)
+        next_tick += 1.0
+    ticked = pipe.finish(beats.duration_s)
+
+    streamed = stream_record(model, record)
+    assert dataclasses.asdict(streamed) == dataclasses.asdict(ticked)
+    assert streamed.lockout_count() >= 50
+    assert min(streamed.n_positive, streamed.n_negative, streamed.n_rejected) > 0
 
 
 def test_streamed_timeline_matches_replay(streamed3):
