@@ -13,17 +13,17 @@ from .beatmath import (DctMatrix, cluster_ranks, dct_features, kaiser_weights,
                        pearson, weighted_average)
 from .ecgio import (EcgRecord, ManifestEntry, manifest_beats, read_manifest,
                     read_record, write_manifest, write_record)
-from .enroll import (PipelineParams, SubjectModel, enroll_owner, enroll_subject,
-                     load_model, owner_features, save_model)
+from .enroll import (enroll_owner, enroll_subject, load_model, owner_features,
+                     save_model)
 from .errors import (BoundaryError, ContractError, EcgAuthError,
                      EnrollmentQualityError, FormatError, ParseError,
                      UndefinedMetricError, ZeroVarianceError)
 from .evaluation import (ConfusionCounts, bar, fpr, leave_one_out,
                          parameter_sweep, timeline_metrics, tpr,
                          write_report_csv, write_sweep_csv)
-from .pipeline import (FeatureStream, Timeline, VerificationEvent,
-                       VerificationPipeline, collect_features, prescreen,
-                       replay_login, stream_record, write_timeline_csv)
+from .pipeline import (FeatureStream, PipelineParams, SubjectModel, Timeline,
+                       VerificationPipeline, collect_features, replay_login,
+                       stream_record, write_timeline_csv)
 from .qrs import (Beat, QrsDetector, RecordBeats, RPeak, detect_beats,
                   record_beats, segment_beat)
 from .svm import LinearSvm, train_svm

@@ -164,20 +164,7 @@ def kaiser_weights(b: int, beta: float = 6.0) -> np.ndarray:
     return cached.copy()
 
 
-@dataclass(frozen=True)
-class AveragedBeat:
-    """Weighted average of the buffered beats at one verification instant."""
-
-    vector: np.ndarray
-    t: float
-    contributing_count: int
-
-    def __post_init__(self):
-        if self.contributing_count < 1:
-            raise ContractError("contributing_count must be >= 1")
-
-
-def weighted_average(beats, weights, t: float = 0.0) -> AveragedBeat:
+def weighted_average(beats, weights) -> np.ndarray:
     """Convex combination of beat vectors; weights must be aligned with beats."""
     x = np.asarray(beats, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -187,7 +174,7 @@ def weighted_average(beats, weights, t: float = 0.0) -> AveragedBeat:
         raise ContractError("weights must be nonnegative")
     if abs(float(w.sum()) - 1.0) > 1e-9:
         raise ContractError(f"weights must sum to 1, got {w.sum()!r}")
-    return AveragedBeat(vector=w @ x, t=t, contributing_count=x.shape[0])
+    return w @ x
 
 
 @dataclass(frozen=True)
@@ -216,7 +203,7 @@ class DctMatrix:
 
 def dct_features(a, matrix: DctMatrix) -> np.ndarray:
     """First M DCT-II coefficients of an averaged beat: D = G @ A."""
-    vec = a.vector if isinstance(a, AveragedBeat) else np.asarray(a, dtype=np.float64)
+    vec = np.asarray(a, dtype=np.float64)
     if vec.ndim != 1 or vec.shape[0] != matrix.n:
         raise ContractError(f"input length {vec.shape} does not match N={matrix.n}")
     return matrix.g @ vec

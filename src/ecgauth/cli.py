@@ -9,46 +9,46 @@ synth's --seed flag, which feeds the synthetic generator.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import __version__
 from .ecgio import TRAIN_ROLES, manifest_beats, read_manifest, read_record
-from .enroll import PipelineParams, enroll_owner, load_model, owners, save_model
+from .enroll import enroll_owner, load_model, owners, save_model
 from .errors import ContractError, EcgAuthError
-from .evaluation import (leave_one_out, parameter_sweep, timeline_metrics,
-                         write_report_csv, write_sweep_csv)
-from .pipeline import stream_record, write_timeline_csv
+from .evaluation import evaluate, timeline_metrics, write_report_csv, write_sweep_csv
+from .pipeline import PipelineParams, stream_record, write_timeline_csv
 from .qrs import LEFT, N_WINDOW
 from .synth import default_cohort, write_cohort
 
+_PARAM_HELP = {
+    "t_avg": "beat-buffer age horizon in seconds",
+    "m": "number of DCT features",
+    "r_min": "prescreen correlation threshold",
+    "t_v": "login decision window in seconds",
+    "n": "positive verifications required within t_v",
+    "beta": "Kaiser weighting shape parameter",
+}
+
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-avg", type=float, default=18.0, dest="t_avg",
-                   help="beat-buffer age horizon in seconds")
-    p.add_argument("--m", type=int, default=40, help="number of DCT features")
-    p.add_argument("--r-min", type=float, default=0.9, dest="r_min",
-                   help="prescreen correlation threshold")
-    p.add_argument("--t-v", type=float, default=30.0, dest="t_v",
-                   help="login decision window in seconds")
-    p.add_argument("--n", type=int, default=10,
-                   help="positive verifications required within t_v")
-    p.add_argument("--beta", type=float, default=6.0,
-                   help="Kaiser weighting shape parameter")
+    """One flag per PipelineParams field, defaulting to the field's default."""
+    for f in dataclasses.fields(PipelineParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default, dest=f.name, help=_PARAM_HELP[f.name])
 
 
 def _params(args) -> PipelineParams:
-    params = PipelineParams(t_avg=args.t_avg, m=args.m, r_min=args.r_min,
-                            t_v=args.t_v, n=args.n, beta=args.beta)
+    params = PipelineParams(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(PipelineParams)})
     params.validate()
     return params
 
 
 def _params_config(params: PipelineParams) -> dict:
-    return {"t_avg": params.t_avg, "m": params.m, "r_min": params.r_min,
-            "t_v": params.t_v, "n": params.n, "beta": params.beta,
-            "n_window": N_WINDOW, "left": LEFT}
+    return {**dataclasses.asdict(params), "n_window": N_WINDOW, "left": LEFT}
 
 
 def _write_run_json(out_dir: str, command: str, config: dict) -> None:
@@ -146,7 +146,7 @@ def cmd_evaluate(args) -> int:
     }
     _write_run_json(args.out, "evaluate", config)
     entries = read_manifest(args.manifest)
-    reports, cells = leave_one_out(entries, params, jobs=args.jobs)
+    reports, cells, sweep = evaluate(entries, params, sweep_grids, jobs=args.jobs)
     report_path = os.path.join(args.out, "report.csv")
     write_report_csv(reports, report_path)
     genuine = [t for cell in cells for t in cell.genuine_timelines]
@@ -159,10 +159,8 @@ def cmd_evaluate(args) -> int:
     for key in sorted(metrics):
         value = metrics[key]
         print(f"{key}: {'N/A' if value is None else format(value, '.6g')}")
-    if sweep_grids is not None:
-        t_grid, m_grid = sweep_grids
-        sweep_cells, best = parameter_sweep(entries, t_grid, m_grid, params,
-                                            jobs=args.jobs)
+    if sweep is not None:
+        sweep_cells, best = sweep
         sweep_path = os.path.join(args.out, "sweep.csv")
         write_sweep_csv(sweep_cells, sweep_path)
         print(f"sweep: {sweep_path}")

@@ -1,4 +1,4 @@
-"""Enrollment: template, amplitude thresholds, the owner step, subject model.
+"""Enrollment: the template pack, the owner step, model training and files.
 
 The template is a two-pass robust mean: an elementwise median beat first,
 then the plain mean of the beats that correlate with that median at
@@ -20,96 +20,21 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pipeline
 from .beatmath import pearson
 from .ecgio import TRAIN_ROLES, manifest_beats
 from .errors import (ContractError, EnrollmentQualityError, FormatError,
                      ZeroVarianceError)
+from .pipeline import PipelineParams, SubjectModel, TemplatePack
 from .qrs import LEFT, N_WINDOW, RecordBeats
 from .svm import LinearSvm, train_svm
 
 MODEL_FORMAT_VERSION = 1
 MIN_ENROLL_BEATS = 30
 MIN_SURVIVOR_FRACTION = 0.5
-
-
-@dataclass(frozen=True)
-class PipelineParams:
-    """Verification-pipeline knobs; defaults are the tuned operating point."""
-
-    t_avg: float = 18.0
-    m: int = 40
-    r_min: float = 0.9
-    t_v: float = 30.0
-    n: int = 10
-    beta: float = 6.0
-
-    def validate(self) -> None:
-        if self.t_avg <= 0:
-            raise ContractError("t_avg must be positive")
-        if not 1 <= self.m <= N_WINDOW:
-            raise ContractError(f"m must be in [1, {N_WINDOW}]")
-        if not 0.0 < self.r_min < 1.0:
-            raise ContractError("r_min must be in (0, 1)")
-        if self.t_v <= 0:
-            raise ContractError("t_v must be positive")
-        if self.n < 1:
-            raise ContractError("n must be at least 1")
-        if self.beta < 0:
-            raise ContractError("beta must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TemplatePack:
-    """Template plus the precomputed pieces the prescreen needs."""
-
-    template: np.ndarray
-    mean: float
-    sdev: float
-    amp_lo: float
-    amp_hi: float
-    r_min: float
-
-
-@dataclass(frozen=True)
-class SubjectModel:
-    subject_id: str
-    fs: int
-    template: np.ndarray
-    amp_lo: float
-    amp_hi: float
-    svm: LinearSvm
-    params: PipelineParams
-    template_mean: float = field(default=0.0)
-    template_sdev: float = field(default=0.0)
-
-    def pack(self) -> TemplatePack:
-        return TemplatePack(template=self.template, mean=self.template_mean,
-                            sdev=self.template_sdev, amp_lo=self.amp_lo,
-                            amp_hi=self.amp_hi, r_min=self.params.r_min)
-
-
-def _template_stats(template: np.ndarray) -> tuple[float, float]:
-    mean = float(template.mean())
-    sdev = float(template.std(ddof=1))
-    if sdev <= 0.0:
-        raise ContractError("template must not be constant")
-    return mean, sdev
-
-
-def make_subject_model(subject_id: str, fs: int, template: np.ndarray,
-                       amp_lo: float, amp_hi: float, svm: LinearSvm,
-                       params: PipelineParams) -> SubjectModel:
-    if not amp_lo < amp_hi:
-        raise ContractError("amp_lo must be below amp_hi")
-    mean, sdev = _template_stats(template)
-    return SubjectModel(subject_id=subject_id, fs=fs, template=template,
-                        amp_lo=amp_lo, amp_hi=amp_hi, svm=svm, params=params,
-                        template_mean=mean, template_sdev=sdev)
 
 
 def _template_and_survivors(w: np.ndarray, r_min: float) -> tuple[np.ndarray, np.ndarray]:
@@ -155,10 +80,7 @@ def build_template_pack(beats: list[RecordBeats],
     the module docstring), and per record how many beats survive its pass."""
     w = np.concatenate([b.windows for b in beats])
     template, kept = _template_and_survivors(w, params.r_min)
-    amp_lo, amp_hi = _amplitude_thresholds(w[kept])
-    mean, sdev = _template_stats(template)
-    pack = TemplatePack(template=template, mean=mean, sdev=sdev,
-                        amp_lo=amp_lo, amp_hi=amp_hi, r_min=params.r_min)
+    pack = TemplatePack.build(template, *_amplitude_thresholds(w[kept]))
     splits = np.cumsum([len(b.windows) for b in beats])[:-1]
     survivors = [int(k.sum()) for k in np.split(kept, splits)]
     return pack, survivors
@@ -191,11 +113,11 @@ def owner_features(beats: dict, owner: str, params: PipelineParams):
     records' feature rows stacked in that order, and batches the
     FeatureBatch of every entry in beats.
     """
-    from .pipeline import collect_features
-
     own = _own_enroll(beats, owner)
     pack, survivors = build_template_pack([beats[e] for e in own], params)
-    batches = {e: collect_features(b, pack, params) for e, b in beats.items()}
+    # looked up in pipeline at call time, so a caller that rebinds
+    # pipeline.collect_features (a tracer) sees these calls
+    batches = {e: pipeline.collect_features(b, pack, params) for e, b in beats.items()}
     positives = np.concatenate([batches[e].features for e in own])
     if not positives.shape[0]:
         raise EnrollmentQualityError(f"{owner}: enroll records yield zero feature vectors")
@@ -227,8 +149,7 @@ def enroll_owner(beats: dict, owner: str, params: PipelineParams):
     x = np.concatenate([positives, negatives])
     y = np.concatenate([np.ones(positives.shape[0]), -np.ones(negatives.shape[0])])
     svm, _ = train_svm(x, y)
-    model = make_subject_model(owner, beats[own[0]].fs, pack.template, pack.amp_lo,
-                               pack.amp_hi, svm, params)
+    model = SubjectModel(owner, beats[own[0]].fs, pack, svm, params)
     provenance = ([(owner, e.session_id, "enroll", beats[e].detected, n_kept)
                    for e, n_kept in zip(own, survivors)]
                   + [(e.subject_id, e.session_id, e.role, batches[e].beats_detected,
@@ -236,9 +157,8 @@ def enroll_owner(beats: dict, owner: str, params: PipelineParams):
     return model, provenance
 
 
-def enroll_subject(entries, subject_id: str, params: PipelineParams,
-                   out_dir: str | None = None):
-    """Build (and optionally persist) one subject's model from a manifest.
+def enroll_subject(entries, subject_id: str, params: PipelineParams):
+    """Build one subject's model from a manifest.
 
     Uses the subject's enroll-role records for the template and positive
     class, and every other subject's enroll/population-role records as the
@@ -250,11 +170,7 @@ def enroll_subject(entries, subject_id: str, params: PipelineParams,
     """
     params.validate()
     own, pop = _training_entries(entries, subject_id)
-    model, provenance = enroll_owner(manifest_beats(own + pop, map), subject_id, params)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_model(model, os.path.join(out_dir, f"{subject_id}.json"))
-    return model, provenance
+    return enroll_owner(manifest_beats(own + pop, map), subject_id, params)
 
 
 # -- model persistence ------------------------------------------------------
@@ -295,9 +211,9 @@ def save_model(model: SubjectModel, path: str) -> None:
             "n_window": N_WINDOW,
             "left": LEFT,
         },
-        "template": np.asarray(model.template, dtype=np.float64),
-        "amp_lo": float(model.amp_lo),
-        "amp_hi": float(model.amp_hi),
+        "template": np.asarray(model.pack.template, dtype=np.float64),
+        "amp_lo": float(model.pack.amp_lo),
+        "amp_hi": float(model.pack.amp_hi),
         "svm": {
             "mu": np.asarray(model.svm.mu, dtype=np.float64),
             "sigma": np.asarray(model.svm.sigma, dtype=np.float64),
@@ -314,27 +230,31 @@ def save_model(model: SubjectModel, path: str) -> None:
 
 
 def load_model(path: str) -> SubjectModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported model format "
-                          f"{doc.get('format_version')!r}")
-    p = doc["params"]
-    if (p.get("n_window"), p.get("left")) != (N_WINDOW, LEFT):
-        raise FormatError(f"{path}: model window n_window={p.get('n_window')!r}, "
-                          f"left={p.get('left')!r}; this version cuts "
-                          f"n_window={N_WINDOW}, left={LEFT}")
-    params = PipelineParams(t_avg=p["t_avg"], m=p["m"], r_min=p["r_min"],
-                            t_v=p["t_v"], n=p["n"], beta=p["beta"])
-    params.validate()
-    s = doc["svm"]
-    svm = LinearSvm(mu=np.asarray(s["mu"], dtype=np.float64),
-                    sigma=np.asarray(s["sigma"], dtype=np.float64),
-                    w=np.asarray(s["w"], dtype=np.float64),
-                    b=float(s["b"]), c=float(s["c"]),
-                    class_weights=(float(s["class_weights"][0]),
-                                   float(s["class_weights"][1])))
-    template = np.asarray(doc["template"], dtype=np.float64)
-    return make_subject_model(doc["subject_id"], int(doc["fs"]), template,
-                              float(doc["amp_lo"]), float(doc["amp_hi"]),
-                              svm, params)
+    """Read a model file; FormatError unless it holds a model of this format."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported model format "
+                              f"{doc.get('format_version')!r}")
+        p = doc["params"]
+        if (p.get("n_window"), p.get("left")) != (N_WINDOW, LEFT):
+            raise FormatError(f"{path}: model window n_window={p.get('n_window')!r}, "
+                              f"left={p.get('left')!r}; this version cuts "
+                              f"n_window={N_WINDOW}, left={LEFT}")
+        params = PipelineParams(t_avg=p["t_avg"], m=p["m"], r_min=p["r_min"],
+                                t_v=p["t_v"], n=p["n"], beta=p["beta"])
+        params.validate()
+        s = doc["svm"]
+        svm = LinearSvm(mu=np.asarray(s["mu"], dtype=np.float64),
+                        sigma=np.asarray(s["sigma"], dtype=np.float64),
+                        w=np.asarray(s["w"], dtype=np.float64),
+                        b=float(s["b"]), c=float(s["c"]),
+                        class_weights=(float(s["class_weights"][0]),
+                                       float(s["class_weights"][1])))
+        pack = TemplatePack.build(np.asarray(doc["template"], dtype=np.float64),
+                                  float(doc["amp_lo"]), float(doc["amp_hi"]))
+        return SubjectModel(doc["subject_id"], int(doc["fs"]), pack, svm, params)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
+        raise FormatError(f"{path}: malformed model file: {exc!r}") from None

@@ -5,12 +5,12 @@ trained with I withheld from the negative population, then tested on S's
 held-out test sessions (genuine) and on all of I's sessions (intruder).
 An intruder-pool record is only ever such an attack.
 A record's beats depend on nothing but the record, so each manifest record
-is read and detected once per evaluation (once per sweep), in parallel
-under jobs > 1. Its feature sequence depends only on the owner's template
-pack and the parameters, never on the classifier, so enrollment's owner
-step (owner_features) streams the beats once per owner and the
-per-intruder work reduces to SVM training plus margin evaluation over
-cached features.
+is read and detected once per call (evaluate shares that read between its
+leave-one-out and its sweep), in parallel under jobs > 1. Its feature
+sequence depends only on the owner's template pack and the parameters,
+never on the classifier, so enrollment's owner step (owner_features)
+streams the beats once per owner and the per-intruder work reduces to SVM
+training plus margin evaluation over cached features.
 
 Undefined rates (a zero denominator) propagate as N/A; they are never
 silently reported as zero.
@@ -27,9 +27,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from .ecgio import TRAIN_ROLES, manifest_beats
-from .enroll import PipelineParams, owner_features, owners
+from .enroll import owner_features, owners
 from .errors import ContractError, UndefinedMetricError
-from .pipeline import Timeline, replay_login
+from .pipeline import PipelineParams, Timeline, replay_login
 from .svm import train_svm
 
 
@@ -156,21 +156,19 @@ def _eval_owner(entries, beats: dict, owner: str, params: PipelineParams,
     return cells
 
 
-def _aggregate(owner: str, cells: list[CellResult]) -> SubjectReport:
-    bars, tprs, fprs = [], [], []
+def _defined(metric, cells: list[CellResult]) -> list[float]:
+    """metric of every cell's counts, skipping the cells where it is undefined."""
+    values = []
     for cell in cells:
         try:
-            bars.append(bar(cell.counts))
+            values.append(metric(cell.counts))
         except UndefinedMetricError:
             pass
-        try:
-            tprs.append(tpr(cell.counts))
-        except UndefinedMetricError:
-            pass
-        try:
-            fprs.append(fpr(cell.counts))
-        except UndefinedMetricError:
-            pass
+    return values
+
+
+def _aggregate(owner: str, cells: list[CellResult]) -> SubjectReport:
+    bars, tprs, fprs = (_defined(metric, cells) for metric in (bar, tpr, fpr))
     return SubjectReport(
         subject_id=owner,
         test_len_s=cells[0].genuine_seconds if cells else 0.0,
@@ -201,8 +199,17 @@ def _mapper(jobs: int):
         yield pool.map
 
 
-def _leave_one_out(entries, beats: dict, owners: list[str], params: PipelineParams,
-                   c: float, run_map) -> tuple[list[SubjectReport], list[CellResult]]:
+def _run(entries, jobs: int, work):
+    """work(entries, beats, owners, run_map) after the manifest checks, with
+    every manifest record read and detected once, on one pool of jobs workers."""
+    entries = tuple(entries)
+    owners = _owners(entries)
+    with _mapper(jobs) as run_map:
+        return work(entries, manifest_beats(entries, run_map), owners, run_map)
+
+
+def _leave_one_out(entries, beats: dict, owners: list[str], run_map, params: PipelineParams,
+                   c: float) -> tuple[list[SubjectReport], list[CellResult]]:
     by_owner = list(run_map(partial(_eval_owner, entries, beats, params=params, c=c),
                             owners))
     reports = [_aggregate(owner, cells) for owner, cells in zip(owners, by_owner)]
@@ -214,11 +221,7 @@ def leave_one_out(entries, params: PipelineParams, jobs: int = 1,
                   c: float = 1.0) -> tuple[list[SubjectReport], list[CellResult]]:
     """Evaluate every multi-session owner against every left-out intruder."""
     params.validate()
-    entries = tuple(entries)
-    owners = _owners(entries)
-    with _mapper(jobs) as run_map:
-        beats = manifest_beats(entries, run_map)
-        return _leave_one_out(entries, beats, owners, params, c, run_map)
+    return _run(entries, jobs, partial(_leave_one_out, params=params, c=c))
 
 
 def timeline_metrics(genuine: list[Timeline], intruder: list[Timeline]) -> dict:
@@ -249,38 +252,55 @@ class SweepCell:
     worst_bar: float | None
 
 
-def parameter_sweep(entries, t_avg_grid, m_grid, params: PipelineParams,
-                    jobs: int = 1) -> tuple[list[SweepCell], SweepCell]:
-    """Run leave_one_out per (t_avg, M) cell; returns all cells and the argmax."""
+def _grid(params: PipelineParams, t_avg_grid, m_grid) -> list[PipelineParams]:
+    """params at every (t_avg, M) cell, each validated before any runs."""
     if not t_avg_grid or not m_grid:
         raise ContractError("sweep grids must be nonempty")
     grid = [replace(params, t_avg=float(t_avg), m=int(m))
             for t_avg in t_avg_grid for m in m_grid]
     for p in grid:
         p.validate()
-    entries = tuple(entries)
-    owners = _owners(entries)
+    return grid
+
+
+def _sweep(entries, beats: dict, owners: list[str], run_map,
+           grid: list[PipelineParams]) -> tuple[list[SweepCell], SweepCell]:
     cells = []
-    with _mapper(jobs) as run_map:
-        # beats depend on no sweep parameter: detect once for the whole grid
-        beats = manifest_beats(entries, run_map)
-        for p in grid:
-            _, loo_cells = _leave_one_out(entries, beats, owners, p, 1.0, run_map)
-            bars = []
-            for cell in loo_cells:
-                try:
-                    bars.append(bar(cell.counts))
-                except UndefinedMetricError:
-                    pass
-            cells.append(SweepCell(
-                t_avg=p.t_avg, m=p.m,
-                avg_bar=float(np.mean(bars)) if bars else None,
-                worst_bar=min(bars) if bars else None))
+    for p in grid:
+        _, loo_cells = _leave_one_out(entries, beats, owners, run_map, p, 1.0)
+        bars = _defined(bar, loo_cells)
+        cells.append(SweepCell(
+            t_avg=p.t_avg, m=p.m,
+            avg_bar=float(np.mean(bars)) if bars else None,
+            worst_bar=min(bars) if bars else None))
     defined = [c for c in cells if c.avg_bar is not None]
     if not defined:
         raise UndefinedMetricError("every sweep cell is undefined")
     best = max(defined, key=lambda c: c.avg_bar)
     return cells, best
+
+
+def parameter_sweep(entries, t_avg_grid, m_grid, params: PipelineParams,
+                    jobs: int = 1) -> tuple[list[SweepCell], SweepCell]:
+    """Run leave_one_out per (t_avg, M) cell; returns all cells and the argmax."""
+    grid = _grid(params, t_avg_grid, m_grid)
+    return _run(entries, jobs, partial(_sweep, grid=grid))
+
+
+def evaluate(entries, params: PipelineParams, sweep_grids=None, jobs: int = 1):
+    """leave_one_out at params and, given sweep_grids = (t_avg_grid, m_grid),
+    parameter_sweep over that grid, on one pool and one read and detection
+    of every record. Returns (reports, cells, sweep), where sweep is
+    parameter_sweep's (cells, best), or None without grids."""
+    params.validate()
+    grid = None if sweep_grids is None else _grid(params, *sweep_grids)
+
+    def work(entries, beats, owners, run_map):
+        reports, cells = _leave_one_out(entries, beats, owners, run_map, params, 1.0)
+        sweep = None if grid is None else _sweep(entries, beats, owners, run_map, grid)
+        return reports, cells, sweep
+
+    return _run(entries, jobs, work)
 
 
 # -- CSV artifacts ----------------------------------------------------------

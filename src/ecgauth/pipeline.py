@@ -1,4 +1,9 @@
-"""Streaming verification: prescreen, FIFO buffer, features, login state.
+"""Streaming verification: subject model, prescreen, FIFO buffer, features,
+login state.
+
+A subject's model is its template pack (the enrolled template with its
+mean and sample deviation, and the amplitude gate), the SVM, and the
+pipeline parameters; enroll builds, saves and loads it.
 
 Each accepted beat triggers a full feature computation over the beats seen
 in the last t_avg seconds: similarity ranks from average-linkage
@@ -23,10 +28,9 @@ import numpy as np
 
 from .beatmath import (DctMatrix, cluster_ranks, dct_features, kaiser_weights,
                        pearson, weighted_average)
-from .enroll import PipelineParams, SubjectModel, TemplatePack
 from .errors import ContractError, ZeroVarianceError
 from .qrs import N_WINDOW, RecordBeats, record_beats
-from .qrs import segment_beat  # noqa: F401  perfbench/tracing.py wraps this name
+from .svm import LinearSvm
 
 KIND_REJECTED = "beat_rejected_prescreen"
 KIND_POSITIVE = "verified_positive"
@@ -38,31 +42,74 @@ STATE_AUTHENTICATED = "authenticated"
 
 
 @dataclass(frozen=True)
-class VerificationEvent:
-    t: float
-    kind: str
-    margin: float | None
-    contributing: int
+class PipelineParams:
+    """Verification-pipeline knobs; defaults are the tuned operating point."""
+
+    t_avg: float = 18.0
+    m: int = 40
+    r_min: float = 0.9
+    t_v: float = 30.0
+    n: int = 10
+    beta: float = 6.0
+
+    def validate(self) -> None:
+        if self.t_avg <= 0:
+            raise ContractError("t_avg must be positive")
+        if not 1 <= self.m <= N_WINDOW:
+            raise ContractError(f"m must be in [1, {N_WINDOW}]")
+        if not 0.0 < self.r_min < 1.0:
+            raise ContractError("r_min must be in (0, 1)")
+        if self.t_v <= 0:
+            raise ContractError("t_v must be positive")
+        if self.n < 1:
+            raise ContractError("n must be at least 1")
+        if self.beta < 0:
+            raise ContractError("beta must be nonnegative")
 
 
-def _prescreen_window(window: np.ndarray, pack: TemplatePack) -> str | None:
+@dataclass(frozen=True)
+class TemplatePack:
+    """Enrolled template, its mean and sample deviation, and the amplitude gate."""
+
+    template: np.ndarray
+    mean: float
+    sdev: float
+    amp_lo: float
+    amp_hi: float
+
+    @classmethod
+    def build(cls, template: np.ndarray, amp_lo: float, amp_hi: float) -> "TemplatePack":
+        if not amp_lo < amp_hi:
+            raise ContractError("amp_lo must be below amp_hi")
+        sdev = float(template.std(ddof=1))
+        if sdev <= 0.0:
+            raise ContractError("template must not be constant")
+        return cls(template=template, mean=float(template.mean()), sdev=sdev,
+                   amp_lo=amp_lo, amp_hi=amp_hi)
+
+
+@dataclass(frozen=True)
+class SubjectModel:
+    """One subject's verifier: the template pack, the SVM, and its parameters."""
+
+    subject_id: str
+    fs: int
+    pack: TemplatePack
+    svm: LinearSvm
+    params: PipelineParams
+
+
+def _prescreen_window(window: np.ndarray, pack: TemplatePack, r_min: float) -> str | None:
     """None when the window passes; otherwise the rejection reason."""
     try:
         r = pearson(window, pack.template, y_mean=pack.mean, y_sdev=pack.sdev)
     except ZeroVarianceError:
         return "zero-variance"
-    if r < pack.r_min:
+    if r < r_min:
         return "correlation"
     if window.min() < pack.amp_lo or window.max() > pack.amp_hi:
         return "amplitude"
     return None
-
-
-def prescreen(beat, model: SubjectModel) -> tuple[bool, str | None]:
-    """Template-correlation and amplitude gate for one beat."""
-    reason = _prescreen_window(np.asarray(beat.window, dtype=np.float64),
-                               model.pack())
-    return reason is None, reason
 
 
 class FeatureStream:
@@ -90,7 +137,7 @@ class FeatureStream:
         window = np.asarray(window, dtype=np.float64)
         if window.shape != (N_WINDOW,):
             raise ContractError(f"beat window must have {N_WINDOW} samples")
-        reason = _prescreen_window(window, self.pack)
+        reason = _prescreen_window(window, self.pack, self.params.r_min)
         if reason is not None:
             return reason, None, 0
         while self._times and t - self._times[0] > self.params.t_avg:
@@ -101,7 +148,7 @@ class FeatureStream:
         stack = np.stack(self._windows)
         ranks = cluster_ranks(stack)
         weights = kaiser_weights(stack.shape[0], self.params.beta)[ranks - 1]
-        avg = weighted_average(stack, weights, t=t)
+        avg = weighted_average(stack, weights)
         feats = dct_features(avg, self._dct)
         return None, feats, stack.shape[0]
 
@@ -178,11 +225,11 @@ class Timeline:
 
 
 class VerificationPipeline:
-    """One model, one stream: an event per beat, export rows, and the Timeline."""
+    """One model, one stream: a decision per beat, export rows, and the Timeline."""
 
     def __init__(self, model: SubjectModel):
         self.model = model
-        self.stream = FeatureStream(model.pack(), model.params)
+        self.stream = FeatureStream(model.pack, model.params)
         self.login = _LoginState(model.params.t_v, model.params.n)
         self.rows: list[tuple] = []
         self._counts = {KIND_POSITIVE: 0, KIND_NEGATIVE: 0, KIND_REJECTED: 0}
@@ -194,10 +241,11 @@ class VerificationPipeline:
     def tick(self, t: float) -> None:
         self._transition_rows(self.login.advance(t))
 
-    def process_beat(self, beat, t: float | None = None) -> VerificationEvent:
+    def process_beat(self, beat, t: float | None = None) -> str:
         return self.process_window(beat.window, beat.t if t is None else t)
 
-    def process_window(self, window: np.ndarray, t: float) -> VerificationEvent:
+    def process_window(self, window: np.ndarray, t: float) -> str:
+        """Decide one beat; returns its kind (rejected, positive or negative)."""
         reason, feats, contributing = self.stream.process(window, t)
         if reason is not None:
             kind = KIND_REJECTED
@@ -212,8 +260,7 @@ class VerificationPipeline:
                 self._transition_rows(self.login.advance(t))
         self._counts[kind] += 1
         self.rows.append((t, kind, margin, contributing, self.login.state))
-        return VerificationEvent(t=t, kind=kind, margin=margin,
-                                 contributing=contributing)
+        return kind
 
     def finish(self, duration_s: float) -> Timeline:
         self._transition_rows(self.login.advance(duration_s))

@@ -23,18 +23,30 @@ _GAP_RTOL = 1e-6
 _GAP_CHECK_EVERY = 256
 
 
+def _kkt_bounds(y, alpha, cvec, f):
+    """f over the KKT up set (-inf elsewhere) and over the low set (inf elsewhere)."""
+    up = ((y > 0.0) & (alpha < cvec)) | ((y < 0.0) & (alpha > 0.0))
+    low = ((y > 0.0) & (alpha > 0.0)) | ((y < 0.0) & (alpha < cvec))
+    return np.where(up, f, -np.inf), np.where(low, f, np.inf)
+
+
+def _primal_and_gap(x, y, cvec, alpha, w, bias):
+    """Primal objective at (w, bias) and its gap to the dual objective at alpha."""
+    xw = np.dot(x, w)
+    hinge = np.maximum(0.0, 1.0 - y * (xw + bias))
+    primal = 0.5 * np.dot(w, w) + np.dot(cvec, hinge)
+    dual = alpha.sum() - 0.5 * np.dot(w, w)
+    return primal, primal - dual
+
+
 def _smo(x, y, cvec, max_steps, gap_rtol):
     n = x.shape[0]
     alpha = np.zeros(n)
     w = np.zeros(x.shape[1])
     f = y.copy()  # f[t] = y[t] - x[t].w throughout
-    gap = np.inf
     steps = 0
     while steps < max_steps:
-        up = ((y > 0.0) & (alpha < cvec)) | ((y < 0.0) & (alpha > 0.0))
-        low = ((y > 0.0) & (alpha > 0.0)) | ((y < 0.0) & (alpha < cvec))
-        fu = np.where(up, f, -np.inf)
-        fl = np.where(low, f, np.inf)
+        fu, fl = _kkt_bounds(y, alpha, cvec, f)
         i = int(np.argmax(fu))
         j = int(np.argmin(fl))
         m_hi = fu[i]
@@ -42,12 +54,7 @@ def _smo(x, y, cvec, max_steps, gap_rtol):
         if np.isinf(m_hi) or np.isinf(m_lo) or m_hi - m_lo <= 1e-12:
             break
         if steps % _GAP_CHECK_EVERY == 0:
-            bias = 0.5 * (m_hi + m_lo)
-            xw = np.dot(x, w)
-            hinge = np.maximum(0.0, 1.0 - y * (xw + bias))
-            primal = 0.5 * np.dot(w, w) + np.dot(cvec, hinge)
-            dual = alpha.sum() - 0.5 * np.dot(w, w)
-            gap = primal - dual
+            primal, gap = _primal_and_gap(x, y, cvec, alpha, w, 0.5 * (m_hi + m_lo))
             if gap <= gap_rtol * (1.0 + abs(primal)):
                 break
         diff = x[i] - x[j]
@@ -75,10 +82,7 @@ def _smo(x, y, cvec, max_steps, gap_rtol):
         f -= step_len * np.dot(x, diff)
         steps += 1
     # final bias from the KKT interval endpoints
-    up = ((y > 0.0) & (alpha < cvec)) | ((y < 0.0) & (alpha > 0.0))
-    low = ((y > 0.0) & (alpha > 0.0)) | ((y < 0.0) & (alpha < cvec))
-    fu = np.where(up, f, -np.inf)
-    fl = np.where(low, f, np.inf)
+    fu, fl = _kkt_bounds(y, alpha, cvec, f)
     m_hi = fu[int(np.argmax(fu))]
     m_lo = fl[int(np.argmin(fl))]
     if np.isinf(m_hi) and np.isinf(m_lo):
@@ -89,11 +93,7 @@ def _smo(x, y, cvec, max_steps, gap_rtol):
         bias = m_hi
     else:
         bias = 0.5 * (m_hi + m_lo)
-    xw = np.dot(x, w)
-    hinge = np.maximum(0.0, 1.0 - y * (xw + bias))
-    primal = 0.5 * np.dot(w, w) + np.dot(cvec, hinge)
-    dual = alpha.sum() - 0.5 * np.dot(w, w)
-    gap = primal - dual
+    _, gap = _primal_and_gap(x, y, cvec, alpha, w, bias)
     return alpha, w, bias, gap, steps
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ecgauth.enroll import PipelineParams, make_subject_model
+from ecgauth.pipeline import PipelineParams, SubjectModel, TemplatePack
 from ecgauth.qrs import LEFT, N_WINDOW, Beat, RPeak
 from ecgauth.svm import LinearSvm
 
@@ -37,8 +37,8 @@ def tiny_model(template=None, amp_lo: float = -1e9, amp_hi: float = 1e9,
         template = beat_shape()
     params = params or PipelineParams()
     svm = svm or constant_margin_svm(params.m, 1.0)
-    return make_subject_model("unit", fs, np.asarray(template, dtype=np.float64),
-                              amp_lo, amp_hi, svm, params)
+    pack = TemplatePack.build(np.asarray(template, dtype=np.float64), amp_lo, amp_hi)
+    return SubjectModel("unit", fs, pack, svm, params)
 
 
 def match_peaks(truth, detected, fs: int, tol_s: float) -> tuple[int, float]:

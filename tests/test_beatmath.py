@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal.windows import kaiser as scipy_kaiser
 
-from ecgauth.beatmath import (AveragedBeat, DctMatrix, cluster_ranks,
-                              dct_features, kaiser_weights, pairwise_euclidean,
-                              pearson, weighted_average)
+from ecgauth.beatmath import (DctMatrix, cluster_ranks, dct_features,
+                              kaiser_weights, pairwise_euclidean, pearson,
+                              weighted_average)
 from ecgauth.errors import ContractError, ZeroVarianceError
 
 
@@ -337,15 +337,12 @@ def test_weighted_average_of_identical_beats():
     v = np.linspace(-3.0, 5.0, 16)
     beats = np.stack([v] * 4)
     for w in ([0.25] * 4, [0.7, 0.1, 0.1, 0.1]):
-        out = weighted_average(beats, w, t=2.0)
-        assert np.allclose(out.vector, v, atol=1e-12)
-        assert out.t == 2.0 and out.contributing_count == 4
+        assert np.allclose(weighted_average(beats, w), v, atol=1e-12)
 
 
 def test_weighted_average_degenerate_weight_selects_one_beat():
     beats = np.array([[1.0, 2.0], [9.0, 9.0]])
-    out = weighted_average(beats, [1.0, 0.0])
-    assert np.array_equal(out.vector, beats[0])
+    assert np.array_equal(weighted_average(beats, [1.0, 0.0]), beats[0])
 
 
 def test_weighted_average_matches_direct_sum():
@@ -353,7 +350,7 @@ def test_weighted_average_matches_direct_sum():
     beats = rng.standard_normal((5, 32))
     ranks = cluster_ranks(beats)
     weights = kaiser_weights(5, 6.0)[ranks - 1]
-    got = weighted_average(beats, weights).vector
+    got = weighted_average(beats, weights)
     want = sum(weights[j] * beats[j] for j in range(5))
     assert np.abs(got - want).max() < 1e-12
 
@@ -366,8 +363,6 @@ def test_weighted_average_contract_errors():
         weighted_average(beats, [1.5, -0.5])  # negative
     with pytest.raises(ContractError):
         weighted_average(beats, [0.5, 0.25, 0.25])  # length mismatch
-    with pytest.raises(ContractError):
-        AveragedBeat(vector=np.ones(4), t=0.0, contributing_count=0)
 
 
 # -- DCT ----------------------------------------------------------------------
@@ -409,11 +404,9 @@ def test_dct_constant_input_concentrates_in_first_coefficient():
     assert np.abs(d[1:]).max() < 1e-9
 
 
-def test_dct_zero_vector_and_averaged_beat_input():
+def test_dct_zero_vector_input():
     mat = DctMatrix.build(256, 8)
     assert np.abs(dct_features(np.zeros(256), mat)).max() == 0.0
-    avg = AveragedBeat(vector=np.ones(256), t=1.0, contributing_count=2)
-    assert np.array_equal(dct_features(avg, mat), dct_features(np.ones(256), mat))
 
 
 def test_dct_contract_errors():

@@ -118,6 +118,16 @@ def test_verify_rejects_sample_rate_mismatch(enrolled3, tmp_path, capsys):
     assert "fs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", ['{"format_version": 1}', "[]", "not json"])
+def test_verify_rejects_malformed_model(cohort3_dir, tmp_path, capsys, body):
+    model = tmp_path / "model.json"
+    model.write_text(body)
+    assert main(["verify", "--model", str(model),
+                 "--record", str(cohort3_dir / "records" / "subj01_s2.csv"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "malformed model file" in capsys.readouterr().err
+
+
 # -- evaluate ------------------------------------------------------------------
 
 def test_evaluate_writes_report_and_metrics(cohort3_dir, tmp_path, capsys):

@@ -7,11 +7,12 @@ import json
 import numpy as np
 import pytest
 
+import ecgauth.pipeline as pipeline
 from ecgauth.ecgio import EcgRecord, ManifestEntry, read_record, write_record
 from ecgauth.enroll import (PipelineParams, build_template_pack, enroll_subject,
-                            load_model, make_subject_model, owner_features,
-                            save_model)
+                            load_model, owner_features, save_model)
 from ecgauth.errors import ContractError, EnrollmentQualityError, FormatError
+from ecgauth.pipeline import TemplatePack
 from ecgauth.qrs import RecordBeats, record_beats
 from ecgauth.svm import LinearSvm
 from helpers import beat_shape, tiny_model
@@ -78,16 +79,15 @@ def test_amplitude_thresholds_bracket_observed_range():
 
 # -- model construction ------------------------------------------------------
 
-def test_make_subject_model_contract():
+def test_template_pack_build_contract():
+    v = beat_shape()
     with pytest.raises(ContractError, match="amp_lo"):
-        tiny_model(amp_lo=5.0, amp_hi=5.0)
+        TemplatePack.build(v, 5.0, 5.0)
     with pytest.raises(ContractError, match="constant"):
-        tiny_model(template=np.full(256, 3.0))
-    model = tiny_model()
-    assert model.template_sdev > 0.0
-    pack = model.pack()
-    assert pack.r_min == model.params.r_min
-    assert pack.mean == model.template_mean
+        TemplatePack.build(np.full(256, 3.0), -1e9, 1e9)
+    pack = TemplatePack.build(v, -1e9, 1e9)
+    assert pack.sdev == float(v.std(ddof=1)) > 0.0
+    assert pack.mean == float(v.mean())
 
 
 @pytest.mark.parametrize("bad", [
@@ -133,14 +133,31 @@ def test_owner_features_amplitude_rejects_scaled_population(entries3):
     assert loud.beats_detected > 0 and loud.features.shape[0] == 0
 
 
+def test_owner_features_streams_through_the_pipeline_binding(entries3, monkeypatch):
+    # perfbench/tracing.py counts feature streaming by rebinding
+    # pipeline.collect_features; the owner step must go through that name
+    streamed = []
+    collect_features = pipeline.collect_features
+
+    def counted(beats, pack, params):
+        streamed.append(beats.session_id)
+        return collect_features(beats, pack, params)
+
+    monkeypatch.setattr(pipeline, "collect_features", counted)
+    own = _own_entry(entries3)
+    owner_features({own: record_beats(read_record(own.path))}, "subj01", PARAMS)
+    assert streamed == [own.session_id]
+
+
 # -- enrollment from a manifest ----------------------------------------------
 
 def test_enroll_subject_builds_model(model3):
     model, provenance = model3
     assert model.subject_id == "subj01"
     assert model.fs == 512
-    assert model.template.shape == (256,)
-    assert model.amp_lo < model.template.min() <= model.template.max() < model.amp_hi
+    assert model.pack.template.shape == (256,)
+    assert (model.pack.amp_lo < model.pack.template.min()
+            <= model.pack.template.max() < model.pack.amp_hi)
     assert model.svm.w.shape == (PARAMS.m,)
     assert model.params == PARAMS
     assert {p[0] for p in provenance} == {"subj01", "subj02", "subj03"}
@@ -191,10 +208,9 @@ def test_enroll_rejects_population_sample_rate_mismatch(tmp_path, cohort3_dir):
 
 
 def test_enroll_is_deterministic(entries3, tmp_path):
-    enroll_subject(entries3, "subj02", PARAMS, out_dir=tmp_path / "one")
-    enroll_subject(entries3, "subj02", PARAMS, out_dir=tmp_path / "two")
-    assert ((tmp_path / "one" / "subj02.json").read_bytes()
-            == (tmp_path / "two" / "subj02.json").read_bytes())
+    save_model(enroll_subject(entries3, "subj02", PARAMS)[0], tmp_path / "one.json")
+    save_model(enroll_subject(entries3, "subj02", PARAMS)[0], tmp_path / "two.json")
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
 
 # -- persistence -------------------------------------------------------------
@@ -205,8 +221,8 @@ def test_model_round_trip_preserves_predictions(model3, tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.subject_id == model.subject_id
-    assert np.array_equal(loaded.template, model.template)
-    assert (loaded.amp_lo, loaded.amp_hi) == (model.amp_lo, model.amp_hi)
+    assert np.array_equal(loaded.pack.template, model.pack.template)
+    assert (loaded.pack.amp_lo, loaded.pack.amp_hi) == (model.pack.amp_lo, model.pack.amp_hi)
     assert loaded.params == model.params
     probe = np.random.default_rng(1).standard_normal((50, PARAMS.m))
     assert np.array_equal(loaded.svm.margins(probe), model.svm.margins(probe))

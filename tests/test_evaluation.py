@@ -179,6 +179,18 @@ def test_enroll_command_reads_and_detects_each_training_record_once(
     assert detections == Counter((e.subject_id, e.session_id) for e in enrolled)
 
 
+def test_evaluate_command_with_sweep_reads_and_detects_each_record_once(
+        short3, monkeypatch, tmp_path):
+    reads, detections = _count_reads_and_detections(monkeypatch)
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(short3, manifest)
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                 "--sweep", "t_avg=12,18", "m=40"]) == 0
+    assert (tmp_path / "out" / "sweep.csv").read_text().count("\n") == 3
+    assert reads == Counter(e.path for e in short3)
+    assert detections == Counter((e.subject_id, e.session_id) for e in short3)
+
+
 def test_mixed_sample_rates_refused(short3, tmp_path):
     slow = next(e for e in short3 if e.subject_id == "subj03" and e.role == "enroll")
     rec = ecgio.read_record(slow.path)

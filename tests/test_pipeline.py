@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ecgauth
 from ecgauth.beatmath import (DctMatrix, cluster_ranks, dct_features,
                               kaiser_weights, weighted_average)
 from ecgauth.ecgio import EcgRecord, read_record
@@ -16,8 +20,7 @@ from ecgauth.qrs import N_WINDOW, record_beats
 from ecgauth.pipeline import (KIND_NEGATIVE, KIND_POSITIVE, KIND_REJECTED,
                               KIND_TRANSITION, STATE_AUTHENTICATED, STATE_LOCKED,
                               FeatureStream, VerificationPipeline, collect_features,
-                              prescreen, replay_login, stream_record,
-                              write_timeline_csv)
+                              replay_login, stream_record, write_timeline_csv)
 from helpers import beat_shape, constant_margin_svm, make_beat, tiny_model
 
 PARAMS = PipelineParams()
@@ -37,23 +40,21 @@ def streamed3(model3, entries3):
 def test_prescreen_reasons():
     v = beat_shape()
     model = tiny_model(template=v, amp_lo=v.min() - 100.0, amp_hi=v.max() + 100.0)
+    stream = FeatureStream(model.pack, model.params)
     rng = np.random.default_rng(0)
-    assert prescreen(make_beat(v + rng.normal(0.0, 2.0, v.size), 1.0), model) \
-        == (True, None)
-    ok, reason = prescreen(make_beat(100.0 * rng.standard_normal(v.size), 2.0), model)
-    assert (ok, reason) == (False, "correlation")
+    assert stream.process(v + rng.normal(0.0, 2.0, v.size), 1.0)[0] is None
+    assert stream.process(100.0 * rng.standard_normal(v.size), 2.0) \
+        == ("correlation", None, 0)
     # scaling preserves correlation, so the amplitude gate must catch it
-    ok, reason = prescreen(make_beat(v * 10.0, 3.0), model)
-    assert (ok, reason) == (False, "amplitude")
-    ok, reason = prescreen(make_beat(np.full(v.size, 5.0), 4.0), model)
-    assert (ok, reason) == (False, "zero-variance")
+    assert stream.process(v * 10.0, 3.0) == ("amplitude", None, 0)
+    assert stream.process(np.full(v.size, 5.0), 4.0) == ("zero-variance", None, 0)
 
 
 # -- feature stream ----------------------------------------------------------
 
 def _accepting_stream():
     model = tiny_model(template=beat_shape())
-    return FeatureStream(model.pack(), model.params)
+    return FeatureStream(model.pack, model.params)
 
 
 def test_stream_keeps_exactly_the_recent_beats():
@@ -76,7 +77,7 @@ def test_stream_keeps_exactly_the_recent_beats():
         assert contributing == len(kept_times)
         stack = np.stack(kept_windows)
         weights = kaiser_weights(len(kept_times), PARAMS.beta)[cluster_ranks(stack) - 1]
-        expected = dct_features(weighted_average(stack, weights, t=t), dct)
+        expected = dct_features(weighted_average(stack, weights), dct)
         assert np.array_equal(feats, expected)
 
 
@@ -180,8 +181,7 @@ def test_tick_backdates_expiry():
     pipe = VerificationPipeline(model)
     v = beat_shape()
     for t in range(1, 11):
-        event = pipe.process_beat(make_beat(v, float(t)))
-        assert event.kind == KIND_POSITIVE
+        assert pipe.process_beat(make_beat(v, float(t))) == KIND_POSITIVE
     pipe.tick(50.0)  # first positive aged out at 1 + t_v = 31, long before
     timeline = pipe.finish(60.0)
     assert timeline.transitions == [(10.0, STATE_AUTHENTICATED), (31.0, STATE_LOCKED)]
@@ -245,7 +245,7 @@ def test_streamed_timeline_matches_replay(streamed3):
 
 def test_collect_features_agrees_with_streaming(streamed3):
     model, record, timeline = streamed3
-    batch = collect_features(record_beats(record), model.pack(), model.params)
+    batch = collect_features(record_beats(record), model.pack, model.params)
     assert batch.features.shape == (timeline.n_positive + timeline.n_negative,
                                     model.params.m)
     assert batch.n_rejected == timeline.n_rejected
@@ -281,3 +281,18 @@ def test_timeline_csv_layout(streamed3, tmp_path):
             assert (float(margin) > 0) == (kind == KIND_POSITIVE)
             assert int(contributing) >= 1
     assert transitions == [(round(t, 6), s) for t, s in timeline.transitions]
+
+
+def test_pipeline_imports_no_enroll():
+    # an empty package module stands in for ecgauth/__init__.py, which
+    # imports every module, so only pipeline's own imports run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ecgauth.__file__)))
+    code = ("import sys, types; pkg = types.ModuleType('ecgauth'); "
+            "pkg.__path__ = [sys.argv[1] + '/ecgauth']; sys.modules['ecgauth'] = pkg; "
+            "import ecgauth.pipeline; print(sorted(m for m in sys.modules "
+            "if m.startswith('ecgauth.')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    loaded = out.stdout.strip()
+    assert "'ecgauth.pipeline'" in loaded
+    assert "'ecgauth.enroll'" not in loaded
