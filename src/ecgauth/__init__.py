@@ -13,7 +13,7 @@ from .beatmath import (DctMatrix, cluster_ranks, dct_features, kaiser_weights,
                        pearson, weighted_average)
 from .ecgio import (EcgRecord, ManifestEntry, manifest_beats, read_manifest,
                     read_record, write_manifest, write_record)
-from .enroll import (enroll_owner, enroll_subject, load_model, owner_features,
+from .enroll import (enroll_owners, enroll_subject, load_model, owner_features,
                      save_model)
 from .errors import (BoundaryError, ContractError, EcgAuthError,
                      EnrollmentQualityError, FormatError, ParseError,

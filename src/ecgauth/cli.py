@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .ecgio import TRAIN_ROLES, manifest_beats, read_manifest, read_record
-from .enroll import enroll_owner, load_model, owners, save_model
+from .enroll import enroll_owners, load_model, owners, save_model
 from .errors import ContractError, EcgAuthError
 from .evaluation import evaluate, timeline_metrics, write_report_csv, write_sweep_csv
 from .pipeline import PipelineParams, stream_record, write_timeline_csv
@@ -79,13 +79,12 @@ def cmd_enroll(args) -> int:
     })
     entries = read_manifest(args.manifest)
     subjects = owners(entries)
-    # every owner trains on these records: read and detect each once
+    # every owner trains on these records: read, detect and stream each once
     beats = manifest_beats([e for e in entries if e.role in TRAIN_ROLES], map)
     models_dir = os.path.join(args.out, "models")
     os.makedirs(models_dir, exist_ok=True)
     provenance = []
-    for subject in subjects:
-        model, rows = enroll_owner(beats, subject, params)
+    for subject, (model, rows) in zip(subjects, enroll_owners(beats, subjects, params)):
         save_model(model, os.path.join(models_dir, f"{subject}.json"))
         provenance.extend(rows)
         print(f"enrolled {subject}")
@@ -113,6 +112,16 @@ def cmd_verify(args) -> int:
     print(f"positive_rate: {rate}")
     print(f"timeline: {path}")
     return 0
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _parse_sweep(tokens: list[str]) -> tuple[list[float], list[int]]:
@@ -196,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="leave-one-out evaluation over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--sweep", nargs="+", metavar="GRID",
                    help="e.g. --sweep t_avg=6,12,18 m=20,40")
     _add_param_flags(p)

@@ -75,17 +75,6 @@ def _header_value(line: str, key: str, lineno: int) -> str:
     return value
 
 
-def iter_samples(path: str | os.PathLike) -> Iterator[int]:
-    """Yield ADC values one by one without materializing the record.
-
-    Validates the header and the sample index sequence as it goes; raises
-    ParseError with the offending line number on malformed rows.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        _read_header(fh)
-        yield from _iter_rows(fh)
-
-
 def _read_header(fh) -> tuple[int, str, str]:
     lines = [fh.readline() for _ in range(4)]
     if any(line == "" for line in lines):

@@ -7,10 +7,12 @@ half survive the correlation pass, since a poor template poisons every
 later verification.
 
 owner_features is the one owner step, shared with leave-one-out: it builds
-the owner's template pack from its enroll-role records and streams every
-record's beats through it. enroll_subject reads only the records it trains
-on; enroll_owner trains from beats that manifest_beats read once, so
-enrolling every owner of a manifest reads and detects each record once.
+every owner's template pack from its enroll-role records and computes each
+record's features once per set of beats the packs accept, so owners whose
+packs accept the same beats share them. enroll_subject reads only the
+records it trains on; enroll_owners trains every owner from beats that
+manifest_beats read once, so enrolling every owner of a manifest reads,
+detects and streams each record once.
 
 Model files are JSON with every float printed to 17 significant digits, so
 a load(save(m)) round-trip reproduces bit-identical predictions.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 
@@ -103,25 +106,36 @@ def _own_enroll(entries, owner: str) -> list:
     return own
 
 
-def owner_features(beats: dict, owner: str, params: PipelineParams):
-    """The owner step: template pack from the owner's enroll-role records,
-    then every record's features through that pack.
+def owner_features(beats: dict, owners: list[str], params: PipelineParams, run_map) -> dict:
+    """The owner step for every owner at once: each one's template pack from
+    its enroll-role records, then every record's features through every pack.
 
-    beats maps manifest entries to their RecordBeats. Returns (pack,
-    survivors, positives, batches): survivors as build_template_pack gives
-    them for the enroll-role records in session order, positives those
-    records' feature rows stacked in that order, and batches the
-    FeatureBatch of every entry in beats.
+    beats maps manifest entries to their RecordBeats; run_map maps over
+    records (the builtin map, or a pool's), one task per record covering
+    every pack, so each record's features are computed once per distinct
+    accepted set. Returns {owner: (pack, survivors, positives, batches)}:
+    survivors as build_template_pack gives them for the owner's enroll-role
+    records in session order, positives those records' feature rows stacked
+    in that order, and batches the owner's FeatureBatch of every entry in
+    beats.
     """
-    own = _own_enroll(beats, owner)
-    pack, survivors = build_template_pack([beats[e] for e in own], params)
+    own = {owner: _own_enroll(beats, owner) for owner in owners}
+    packs = {owner: build_template_pack([beats[e] for e in own[owner]], params)
+             for owner in owners}
+    entries = list(beats)
     # looked up in pipeline at call time, so a caller that rebinds
     # pipeline.collect_features (a tracer) sees these calls
-    batches = {e: pipeline.collect_features(b, pack, params) for e, b in beats.items()}
-    positives = np.concatenate([batches[e].features for e in own])
-    if not positives.shape[0]:
-        raise EnrollmentQualityError(f"{owner}: enroll records yield zero feature vectors")
-    return pack, survivors, positives, batches
+    collect = partial(pipeline.collect_features,
+                      packs=[packs[owner][0] for owner in owners], params=params)
+    per_record = list(run_map(collect, [beats[e] for e in entries]))
+    steps = {}
+    for k, owner in enumerate(owners):
+        batches = {e: record[k] for e, record in zip(entries, per_record)}
+        positives = np.concatenate([batches[e].features for e in own[owner]])
+        if not positives.shape[0]:
+            raise EnrollmentQualityError(f"{owner}: enroll records yield zero feature vectors")
+        steps[owner] = (*packs[owner], positives, batches)
+    return steps
 
 
 def _training_entries(entries, owner: str) -> tuple[list, list]:
@@ -135,26 +149,33 @@ def _training_entries(entries, owner: str) -> tuple[list, list]:
     return own, pop
 
 
-def enroll_owner(beats: dict, owner: str, params: PipelineParams):
-    """One owner's model from manifest_beats output; see enroll_subject.
+def enroll_owners(beats: dict, owners: list[str], params: PipelineParams) -> list:
+    """Each owner's (model, provenance) from manifest_beats output; see
+    enroll_subject.
 
-    Only the owner's enroll-role records and every other subject's
-    enroll/population-role records in beats are used.
+    Only each owner's enroll-role records and every other subject's
+    enroll/population-role records in beats are used, and each is streamed
+    once for all owners.
     """
     params.validate()
-    own, pop = _training_entries(beats, owner)
-    pack, survivors, positives, batches = owner_features(
-        {e: beats[e] for e in own + pop}, owner, params)
-    negatives = np.concatenate([batches[e].features for e in pop])
-    x = np.concatenate([positives, negatives])
-    y = np.concatenate([np.ones(positives.shape[0]), -np.ones(negatives.shape[0])])
-    svm, _ = train_svm(x, y)
-    model = SubjectModel(owner, beats[own[0]].fs, pack, svm, params)
-    provenance = ([(owner, e.session_id, "enroll", beats[e].detected, n_kept)
-                   for e, n_kept in zip(own, survivors)]
-                  + [(e.subject_id, e.session_id, e.role, batches[e].beats_detected,
-                      batches[e].features.shape[0]) for e in pop])
-    return model, provenance
+    training = {owner: _training_entries(beats, owner) for owner in owners}
+    used = {e for own, pop in training.values() for e in own + pop}
+    steps = owner_features({e: b for e, b in beats.items() if e in used}, owners, params, map)
+    enrolled = []
+    for owner in owners:
+        own, pop = training[owner]
+        pack, survivors, positives, batches = steps[owner]
+        negatives = np.concatenate([batches[e].features for e in pop])
+        x = np.concatenate([positives, negatives])
+        y = np.concatenate([np.ones(positives.shape[0]), -np.ones(negatives.shape[0])])
+        svm, _ = train_svm(x, y)
+        model = SubjectModel(owner, beats[own[0]].fs, pack, svm, params)
+        provenance = ([(owner, e.session_id, "enroll", beats[e].detected, n_kept)
+                       for e, n_kept in zip(own, survivors)]
+                      + [(e.subject_id, e.session_id, e.role, batches[e].beats_detected,
+                          batches[e].features.shape[0]) for e in pop])
+        enrolled.append((model, provenance))
+    return enrolled
 
 
 def enroll_subject(entries, subject_id: str, params: PipelineParams):
@@ -170,7 +191,8 @@ def enroll_subject(entries, subject_id: str, params: PipelineParams):
     """
     params.validate()
     own, pop = _training_entries(entries, subject_id)
-    return enroll_owner(manifest_beats(own + pop, map), subject_id, params)
+    [enrolled] = enroll_owners(manifest_beats(own + pop, map), [subject_id], params)
+    return enrolled
 
 
 # -- model persistence ------------------------------------------------------

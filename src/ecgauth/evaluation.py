@@ -7,10 +7,13 @@ An intruder-pool record is only ever such an attack.
 A record's beats depend on nothing but the record, so each manifest record
 is read and detected once per call (evaluate shares that read between its
 leave-one-out and its sweep), in parallel under jobs > 1. Its feature
-sequence depends only on the owner's template pack and the parameters,
-never on the classifier, so enrollment's owner step (owner_features)
-streams the beats once per owner and the per-intruder work reduces to SVM
-training plus margin evaluation over cached features.
+sequence depends on an owner's template pack only through which beats pass
+the prescreen, and never on the classifier. So enrollment's owner step
+(owner_features) computes each record's features once per accepted set and
+parameter cell, in one task per record, and owners whose packs accept the
+same beats share them. Each owner task then carries only its own feature
+batches, and the per-intruder work reduces to SVM training plus margin
+evaluation over them. Nothing is kept between calls.
 
 Undefined rates (a zero denominator) propagate as N/A; they are never
 silently reported as zero.
@@ -117,9 +120,9 @@ def _replay(svm, batches: list, params: PipelineParams) -> tuple[int, int, list[
     return n_pos, n_neg, timelines
 
 
-def _eval_owner(entries, beats: dict, owner: str, params: PipelineParams,
+def _eval_owner(entries, owner: str, step: tuple, params: PipelineParams,
                 c: float) -> list[CellResult]:
-    _, _, positives, batches = owner_features(beats, owner, params)
+    _, _, positives, batches = step
     genuine_batches = [batches[e] for e in sorted(
         (e for e in entries if e.subject_id == owner and e.role == "test"),
         key=lambda e: e.session_id)]
@@ -191,8 +194,8 @@ def _owners(entries) -> list[str]:
 
 @contextmanager
 def _mapper(jobs: int):
-    """map over a pool of jobs spawned workers, or the builtin map for jobs <= 1."""
-    if jobs <= 1:
+    """map over a pool of jobs spawned workers, or the builtin map for one job."""
+    if jobs == 1:
         yield map
         return
     with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
@@ -202,6 +205,8 @@ def _mapper(jobs: int):
 def _run(entries, jobs: int, work):
     """work(entries, beats, owners, run_map) after the manifest checks, with
     every manifest record read and detected once, on one pool of jobs workers."""
+    if jobs < 1:
+        raise ContractError(f"jobs must be at least 1, got {jobs}")
     entries = tuple(entries)
     owners = _owners(entries)
     with _mapper(jobs) as run_map:
@@ -210,8 +215,9 @@ def _run(entries, jobs: int, work):
 
 def _leave_one_out(entries, beats: dict, owners: list[str], run_map, params: PipelineParams,
                    c: float) -> tuple[list[SubjectReport], list[CellResult]]:
-    by_owner = list(run_map(partial(_eval_owner, entries, beats, params=params, c=c),
-                            owners))
+    steps = owner_features(beats, owners, params, run_map)
+    by_owner = list(run_map(partial(_eval_owner, entries, params=params, c=c),
+                            owners, [steps[owner] for owner in owners]))
     reports = [_aggregate(owner, cells) for owner, cells in zip(owners, by_owner)]
     cells = [cell for owner_cells in by_owner for cell in owner_cells]
     return reports, cells

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beatmath import (DctMatrix, cluster_ranks, dct_features, kaiser_weights,
-                       pearson, weighted_average)
+from .beatmath import (DctMatrix, batched_cluster_ranks, cluster_ranks, dct_features,
+                       kaiser_weights, pearson, weighted_average)
 from .errors import ContractError, ZeroVarianceError
 from .qrs import N_WINDOW, RecordBeats, record_beats
 from .svm import LinearSvm
@@ -113,11 +113,10 @@ def _prescreen_window(window: np.ndarray, pack: TemplatePack, r_min: float) -> s
 
 
 class FeatureStream:
-    """Prescreen + buffer + feature extraction, with no classifier.
+    """Prescreen + buffer + feature extraction, with no classifier, beat by beat.
 
-    The feature sequence of a record depends only on (template pack,
-    params, record), so enrollment, verification, and evaluation all share
-    this path.
+    The live path. collect_features computes the same sequence for a whole
+    record at once.
     """
 
     def __init__(self, pack: TemplatePack, params: PipelineParams):
@@ -292,7 +291,7 @@ def stream_record(model: SubjectModel, record) -> Timeline:
 
 @dataclass(frozen=True)
 class FeatureBatch:
-    """Model-independent feature sequence of one record."""
+    """Feature sequence of the beats of one record that pass a pack's prescreen."""
 
     times: np.ndarray
     features: np.ndarray
@@ -302,27 +301,62 @@ class FeatureBatch:
     duration_s: float
 
 
-def collect_features(beats: RecordBeats, pack: TemplatePack,
-                     params: PipelineParams) -> FeatureBatch:
-    """Extract the full feature sequence of a record for training/evaluation."""
-    stream = FeatureStream(pack, params)
-    times = []
-    feats = []
-    contrib = []
-    n_rejected = 0
-    for t, window in zip(beats.times.tolist(), beats.windows):
-        reason, f, b = stream.process(window, t)
-        if reason is None:
-            times.append(t)
-            feats.append(f)
-            contrib.append(b)
-        else:
-            n_rejected += 1
-    features = np.stack(feats) if feats else np.empty((0, params.m))
-    return FeatureBatch(times=np.asarray(times), features=features,
-                        contributing=np.asarray(contrib, dtype=np.int64),
-                        beats_detected=beats.detected, n_rejected=n_rejected,
-                        duration_s=beats.duration_s)
+def _accepted_features(times: np.ndarray, windows: np.ndarray, params: PipelineParams,
+                       dct: DctMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Features and contributing counts of beats that all pass the prescreen,
+    bit for bit as FeatureStream computes them beat by beat."""
+    # each buffer opens where FeatureStream's FIFO would, by the same float test
+    starts = []
+    s = 0
+    seq = times.tolist()
+    for k, t in enumerate(seq):
+        while s < k and t - seq[s] > params.t_avg:
+            s += 1
+        starts.append(s)
+    stops = list(range(1, len(seq) + 1))
+    ranks = batched_cluster_ranks(windows, starts, stops)
+    features = np.empty((len(seq), params.m))
+    for k, (s, r) in enumerate(zip(starts, ranks)):
+        weights = kaiser_weights(r.shape[0], params.beta)[r - 1]
+        features[k] = dct_features(weighted_average(windows[s:k + 1], weights), dct)
+    contributing = np.asarray(stops, dtype=np.int64) - np.asarray(starts, dtype=np.int64)
+    return features, contributing
+
+
+def collect_features(beats: RecordBeats, packs, params: PipelineParams) -> list[FeatureBatch]:
+    """Each pack's feature sequence of a record, for training and evaluation.
+
+    A record's features depend on a pack only through which beats pass its
+    prescreen, since rejected beats never enter the buffer. So they are
+    computed once per distinct accepted set, and packs that accept the same
+    beats share one FeatureBatch. Every batch equals what streaming the
+    record through a FeatureStream of its pack gives.
+    """
+    params.validate()
+    times = beats.times
+    windows = np.asarray(beats.windows, dtype=np.float64)
+    if windows.ndim != 2 or windows.shape[1] != N_WINDOW:
+        raise ContractError(f"beat window must have {N_WINDOW} samples")
+    back = np.flatnonzero(np.diff(times) < 0)
+    if back.shape[0]:
+        raise ContractError(f"beat at t={times[back[0] + 1]} arrived after t={times[back[0]]}")
+    dct = DctMatrix.build(n=N_WINDOW, m=params.m)
+    shared: dict[bytes, FeatureBatch] = {}
+    batches = []
+    for pack in packs:
+        accepted = np.array([_prescreen_window(w, pack, params.r_min) is None
+                             for w in windows], dtype=bool)
+        key = accepted.tobytes()
+        if key not in shared:
+            features, contributing = _accepted_features(
+                times[accepted], windows[accepted], params, dct)
+            shared[key] = FeatureBatch(
+                times=times[accepted], features=features, contributing=contributing,
+                beats_detected=beats.detected,
+                n_rejected=int(accepted.shape[0] - accepted.sum()),
+                duration_s=beats.duration_s)
+        batches.append(shared[key])
+    return batches
 
 
 def replay_login(times: np.ndarray, positive: np.ndarray, duration_s: float,

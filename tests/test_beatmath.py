@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal.windows import kaiser as scipy_kaiser
 
-from ecgauth.beatmath import (DctMatrix, cluster_ranks, dct_features,
-                              kaiser_weights, pairwise_euclidean, pearson,
-                              weighted_average)
+from ecgauth.beatmath import (LINKAGE_BLOCK, DctMatrix, batched_cluster_ranks,
+                              cluster_ranks, dct_features, kaiser_weights,
+                              pairwise_euclidean, pearson, weighted_average)
 from ecgauth.errors import ContractError, ZeroVarianceError
 
 
@@ -266,6 +266,43 @@ def test_cluster_ranks_match_scan_under_ties(x):
     ranks = cluster_ranks(x)
     assert sorted(ranks.tolist()) == list(range(1, x.shape[0] + 1))
     assert np.array_equal(ranks, linkage_ranks_scan(x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_tied_buffers())
+def test_batched_cluster_ranks_equal_cluster_ranks_under_ties(x):
+    # every contiguous buffer of the tie-heavy stack; with 16 rows that is
+    # more than one block of buffers
+    b = x.shape[0]
+    starts, stops = zip(*[(s, e) for s in range(b) for e in range(s + 1, b + 1)])
+    got = batched_cluster_ranks(x, starts, stops)
+    assert len(got) == len(starts)
+    for s, e, ranks in zip(starts, stops, got):
+        assert np.array_equal(ranks, cluster_ranks(x[s:e]))
+
+
+def test_batched_cluster_ranks_span_several_blocks():
+    x = np.random.default_rng(9).standard_normal((3 * LINKAGE_BLOCK, 6))
+    starts = np.maximum(np.arange(x.shape[0]) - 20, 0)
+    stops = np.arange(1, x.shape[0] + 1)
+    for s, e, ranks in zip(starts, stops, batched_cluster_ranks(x, starts, stops)):
+        assert np.array_equal(ranks, cluster_ranks(x[s:e]))
+    assert batched_cluster_ranks(x, [], []) == []
+
+
+def test_batched_cluster_ranks_refuse_what_cluster_ranks_refuses():
+    x = np.random.default_rng(4).standard_normal((5, 8))
+    y = x.copy()
+    y[2, 3] = np.nan
+    with pytest.raises(ContractError):
+        batched_cluster_ranks(y, [0], [5])
+    with pytest.raises(ContractError), np.errstate(over="ignore", invalid="ignore"):
+        batched_cluster_ranks(np.array([[1e200, 0.0], [-1e200, 0.0]]), [0], [2])
+    for starts, stops in (([0], [6]), ([2], [2]), ([-1], [3]), ([0, 1], [2])):
+        with pytest.raises(ContractError):
+            batched_cluster_ranks(x, starts, stops)
+    with pytest.raises(ContractError):
+        batched_cluster_ranks(np.zeros(4), [0], [1])
 
 
 def test_cluster_ranks_rejects_non_finite_beats():

@@ -186,3 +186,13 @@ def test_missing_required_argument_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["synth"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_evaluate_refuses_jobs_below_one(cohort3_dir, tmp_path, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--manifest", str(cohort3_dir / "manifest.csv"),
+              "--out", str(tmp_path / "eval"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()

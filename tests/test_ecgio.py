@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ecgauth.ecgio import (EcgRecord, ManifestEntry, iter_samples,
-                           read_manifest, read_record, write_manifest,
-                           write_record)
+from ecgauth.ecgio import (EcgRecord, ManifestEntry, read_manifest,
+                           read_record, write_manifest, write_record)
 from ecgauth.errors import ContractError, FormatError, ParseError
 
 
@@ -56,13 +55,6 @@ def test_three_sample_record_has_three_data_rows(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[:4] == ["fs_hz,512", "subject,s", "session,a", "n,adc"]
     assert rows[4:] == ["0,1", "1,-2", "2,3"]
-
-
-def test_iter_samples_streams_same_values(tmp_path):
-    rec = _record(n=300)
-    path = tmp_path / "r.csv"
-    write_record(rec, path)
-    assert list(iter_samples(path)) == rec.samples.tolist()
 
 
 @pytest.mark.parametrize("mutate, err", [

@@ -109,7 +109,8 @@ def _own_entry(entries3):
 def test_owner_features_positives_and_stats(entries3):
     own = _own_entry(entries3)
     beats = record_beats(read_record(own.path))
-    pack, survivors, positives, batches = owner_features({own: beats}, "subj01", PARAMS)
+    pack, survivors, positives, batches = owner_features(
+        {own: beats}, ["subj01"], PARAMS, map)["subj01"]
     assert positives.ndim == 2 and positives.shape[1] == PARAMS.m
     assert positives.shape[0] >= 1
     assert np.array_equal(batches[own].features, positives)
@@ -127,7 +128,7 @@ def test_owner_features_amplitude_rejects_scaled_population(entries3):
     loud_entry = ManifestEntry("subj02", "s1", "loud.csv", "population")
     beats = {own: record_beats(rec),
              loud_entry: record_beats(EcgRecord("subj02", "s1", rec.fs, rec.samples * 10))}
-    _, _, positives, batches = owner_features(beats, "subj01", PARAMS)
+    _, _, positives, batches = owner_features(beats, ["subj01"], PARAMS, map)["subj01"]
     assert positives.shape[0] > 0
     loud = batches[loud_entry]  # every population window fails the gate
     assert loud.beats_detected > 0 and loud.features.shape[0] == 0
@@ -139,13 +140,13 @@ def test_owner_features_streams_through_the_pipeline_binding(entries3, monkeypat
     streamed = []
     collect_features = pipeline.collect_features
 
-    def counted(beats, pack, params):
+    def counted(beats, packs, params):
         streamed.append(beats.session_id)
-        return collect_features(beats, pack, params)
+        return collect_features(beats, packs, params)
 
     monkeypatch.setattr(pipeline, "collect_features", counted)
     own = _own_entry(entries3)
-    owner_features({own: record_beats(read_record(own.path))}, "subj01", PARAMS)
+    owner_features({own: record_beats(read_record(own.path))}, ["subj01"], PARAMS, map)
     assert streamed == [own.session_id]
 
 

@@ -9,18 +9,19 @@ import numpy as np
 import pytest
 
 import ecgauth.ecgio as ecgio
+import ecgauth.pipeline as pipeline
 import ecgauth.qrs as qrs
 from ecgauth.cli import main
 from ecgauth.ecgio import (EcgRecord, ManifestEntry, read_manifest, write_manifest,
                            write_record)
-from ecgauth.enroll import PipelineParams, enroll_subject
+from ecgauth.enroll import PipelineParams, build_template_pack, enroll_subject
 from ecgauth.errors import ContractError, UndefinedMetricError
 from ecgauth.evaluation import (CellResult, ConfusionCounts, SubjectReport,
-                                SweepCell, bar, fpr, leave_one_out,
+                                SweepCell, bar, evaluate, fpr, leave_one_out,
                                 parameter_sweep, timeline_metrics, tpr,
                                 write_report_csv, write_sweep_csv)
-from ecgauth.pipeline import (STATE_AUTHENTICATED, STATE_LOCKED, Timeline,
-                              replay_login)
+from ecgauth.pipeline import (STATE_AUTHENTICATED, STATE_LOCKED, TemplatePack,
+                              Timeline, replay_login)
 from ecgauth.synth import default_cohort, write_cohort
 
 PARAMS = PipelineParams()
@@ -189,6 +190,69 @@ def test_evaluate_command_with_sweep_reads_and_detects_each_record_once(
     assert (tmp_path / "out" / "sweep.csv").read_text().count("\n") == 3
     assert reads == Counter(e.path for e in short3)
     assert detections == Counter((e.subject_id, e.session_id) for e in short3)
+
+
+def _count_ranked_sets(monkeypatch):
+    """Counter of the accepted window sets the batched kernel ranks."""
+    ranked = Counter()
+    batched = pipeline.batched_cluster_ranks
+
+    def counted(beats, starts, stops):
+        ranked[beats.tobytes()] += 1
+        return batched(beats, starts, stops)
+
+    monkeypatch.setattr(pipeline, "batched_cluster_ranks", counted)
+    return ranked
+
+
+def test_leave_one_out_ranks_each_record_once_for_all_owners(short3, monkeypatch):
+    # every owner's prescreen accepts every beat here, so one accepted set
+    # per record: ranked once, not once per owner
+    ranked = _count_ranked_sets(monkeypatch)
+    leave_one_out(short3, PARAMS, jobs=1)
+    assert len(ranked) == len(short3)
+    assert set(ranked.values()) == {1}
+
+
+def test_sweep_ranks_each_record_once_per_cell(short3, monkeypatch):
+    ranked = _count_ranked_sets(monkeypatch)
+    parameter_sweep(short3, [12.0, 18.0], [40], PARAMS)
+    assert len(ranked) == len(short3)
+    assert set(ranked.values()) == {2}
+
+
+def test_enroll_command_ranks_each_training_record_once(short3, monkeypatch, tmp_path):
+    ranked = _count_ranked_sets(monkeypatch)
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(short3, manifest)
+    assert main(["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 0
+    assert len(ranked) == len([e for e in short3 if e.role == "enroll"])
+    assert set(ranked.values()) == {1}
+
+
+def test_owners_whose_gates_accept_different_beats_get_two_batches(short3, monkeypatch):
+    ranked = _count_ranked_sets(monkeypatch)
+    entry = next(e for e in short3 if e.subject_id == "subj02" and e.role == "test")
+    beats = ecgio.manifest_beats([entry], map)[entry]
+    own = [e for e in short3 if e.subject_id == "subj01" and e.role == "enroll"]
+    whole, _ = build_template_pack(list(ecgio.manifest_beats(own, map).values()), PARAMS)
+    gated = TemplatePack.build(whole.template, whole.amp_lo,
+                               float(np.median(beats.windows.max(axis=1))))
+    batches = pipeline.collect_features(beats, [whole, gated, whole], PARAMS)
+    assert batches[0] is batches[2] and batches[0] is not batches[1]
+    assert batches[0].n_rejected == 0
+    assert 0 < batches[1].n_rejected < len(beats.times)
+    assert sorted(ranked.values()) == [1, 1] and len(ranked) == 2
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_refused(short3, jobs):
+    with pytest.raises(ContractError, match="jobs"):
+        leave_one_out(short3, PARAMS, jobs=jobs)
+    with pytest.raises(ContractError, match="jobs"):
+        parameter_sweep(short3, [12.0], [40], PARAMS, jobs=jobs)
+    with pytest.raises(ContractError, match="jobs"):
+        evaluate(short3, PARAMS, jobs=jobs)
 
 
 def test_mixed_sample_rates_refused(short3, tmp_path):

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecgauth
 from ecgauth.beatmath import (DctMatrix, cluster_ranks, dct_features,
@@ -16,11 +18,12 @@ from ecgauth.beatmath import (DctMatrix, cluster_ranks, dct_features,
 from ecgauth.ecgio import EcgRecord, read_record
 from ecgauth.enroll import PipelineParams
 from ecgauth.errors import ContractError
-from ecgauth.qrs import N_WINDOW, record_beats
+from ecgauth.qrs import N_WINDOW, RecordBeats, record_beats
 from ecgauth.pipeline import (KIND_NEGATIVE, KIND_POSITIVE, KIND_REJECTED,
                               KIND_TRANSITION, STATE_AUTHENTICATED, STATE_LOCKED,
-                              FeatureStream, VerificationPipeline, collect_features,
-                              replay_login, stream_record, write_timeline_csv)
+                              FeatureStream, TemplatePack, VerificationPipeline,
+                              collect_features, replay_login, stream_record,
+                              write_timeline_csv)
 from helpers import beat_shape, constant_margin_svm, make_beat, tiny_model
 
 PARAMS = PipelineParams()
@@ -245,7 +248,7 @@ def test_streamed_timeline_matches_replay(streamed3):
 
 def test_collect_features_agrees_with_streaming(streamed3):
     model, record, timeline = streamed3
-    batch = collect_features(record_beats(record), model.pack, model.params)
+    [batch] = collect_features(record_beats(record), [model.pack], model.params)
     assert batch.features.shape == (timeline.n_positive + timeline.n_negative,
                                     model.params.m)
     assert batch.n_rejected == timeline.n_rejected
@@ -257,6 +260,76 @@ def test_collect_features_agrees_with_streaming(streamed3):
     # margins recomputed from the batch agree with the streamed decisions
     margins = model.svm.margins(batch.features)
     assert int((margins > 0).sum()) == timeline.n_positive
+
+
+def _record(times, windows) -> RecordBeats:
+    times = np.asarray(times, dtype=np.float64)
+    return RecordBeats("unit", "s1", 512, times, np.asarray(windows, dtype=np.float64),
+                       detected=times.shape[0] + 2,
+                       duration_s=float(times[-1]) + 1.0 if times.shape[0] else 1.0)
+
+
+@st.composite
+def _screened_records(draw):
+    """(pack, params, times, windows): windows drawn with repeats from a small
+    pool of scaled templates, noise (correlation rejects) and constants
+    (zero-variance rejects); the pack's amplitude gate rejects the loudest."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool_size = draw(st.integers(1, 6))
+    scale = rng.uniform(0.5, 1.5, (pool_size, 1))
+    pool = beat_shape() * scale + rng.normal(0.0, draw(st.sampled_from([0.0, 1.0, 30.0])),
+                                             (pool_size, N_WINDOW))
+    kinds = draw(st.lists(st.sampled_from(["beat", "beat", "noise", "flat"]),
+                          min_size=pool_size, max_size=pool_size))
+    for k, kind in enumerate(kinds):
+        if kind == "noise":
+            pool[k] = rng.normal(0.0, 300.0, N_WINDOW)
+        elif kind == "flat":
+            pool[k] = 7.0
+    if draw(st.booleans()):
+        pool = np.round(pool)
+    n = draw(st.integers(0, 40))
+    windows = pool[draw(st.lists(st.integers(0, pool_size - 1), min_size=n, max_size=n))]
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7]) | st.floats(0.0, 4.0),
+                         min_size=n, max_size=n))
+    times = np.cumsum(gaps) + draw(st.sampled_from([0.0, 0.1, 1e3 / 3.0]))
+    params = PipelineParams(t_avg=draw(st.sampled_from([0.3, 0.6, 1.0, 18.0]) | st.floats(0.05, 20.0)),
+                            m=draw(st.sampled_from([1, 5, 40])),
+                            beta=draw(st.sampled_from([0.0, 6.0])))
+    pack = TemplatePack.build(beat_shape(), -1e9, draw(st.floats(900.0, 1600.0)))
+    return pack, params, times, windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_screened_records())
+def test_collect_features_equals_feature_stream_bit_for_bit(case):
+    pack, params, times, windows = case
+    stream = FeatureStream(pack, params)
+    kept_times, kept_features, kept_contributing = [], [], []
+    n_rejected = 0
+    for t, window in zip(times.tolist(), windows):
+        reason, feats, contributing = stream.process(window, t)
+        if reason is None:
+            kept_times.append(t)
+            kept_features.append(feats)
+            kept_contributing.append(contributing)
+        else:
+            n_rejected += 1
+    [batch] = collect_features(_record(times, windows), [pack], params)
+    assert batch.times.tolist() == kept_times
+    assert batch.features.shape == (len(kept_times), params.m)
+    expected = np.stack(kept_features) if kept_features else np.empty((0, params.m))
+    assert batch.features.tobytes() == expected.tobytes()
+    assert batch.contributing.tolist() == kept_contributing
+    assert batch.n_rejected == n_rejected
+
+
+def test_collect_features_input_contract():
+    v = beat_shape()
+    with pytest.raises(ContractError, match="after"):
+        collect_features(_record([5.0, 4.9], [v, v]), [tiny_model().pack], PARAMS)
+    with pytest.raises(ContractError, match="samples"):
+        collect_features(_record([1.0], [np.zeros(100)]), [tiny_model().pack], PARAMS)
 
 
 def test_timeline_csv_layout(streamed3, tmp_path):
