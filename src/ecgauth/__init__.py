@@ -18,9 +18,8 @@ from .enroll import (enroll_owners, enroll_subject, load_model, owner_features,
 from .errors import (BoundaryError, ContractError, EcgAuthError,
                      EnrollmentQualityError, FormatError, ParseError,
                      UndefinedMetricError, ZeroVarianceError)
-from .evaluation import (ConfusionCounts, bar, fpr, leave_one_out,
-                         parameter_sweep, timeline_metrics, tpr,
-                         write_report_csv, write_sweep_csv)
+from .evaluation import (ConfusionCounts, bar, evaluate, fpr, leave_one_out,
+                         timeline_metrics, tpr, write_report_csv, write_sweep_csv)
 from .pipeline import (FeatureStream, PipelineParams, SubjectModel, Timeline,
                        VerificationPipeline, collect_features, replay_login,
                        stream_record, write_timeline_csv)

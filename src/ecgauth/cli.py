@@ -41,10 +41,8 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _params(args) -> PipelineParams:
-    params = PipelineParams(**{f.name: getattr(args, f.name)
-                               for f in dataclasses.fields(PipelineParams)})
-    params.validate()
-    return params
+    return PipelineParams(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(PipelineParams)})
 
 
 def _params_config(params: PipelineParams) -> dict:

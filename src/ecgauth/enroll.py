@@ -157,7 +157,6 @@ def enroll_owners(beats: dict, owners: list[str], params: PipelineParams) -> lis
     enroll/population-role records in beats are used, and each is streamed
     once for all owners.
     """
-    params.validate()
     training = {owner: _training_entries(beats, owner) for owner in owners}
     used = {e for own, pop in training.values() for e in own + pop}
     steps = owner_features({e: b for e, b in beats.items() if e in used}, owners, params, map)
@@ -189,7 +188,6 @@ def enroll_subject(entries, subject_id: str, params: PipelineParams):
     (subject_id, session_id, role, beats_detected, beats_surviving) per
     record that was read.
     """
-    params.validate()
     own, pop = _training_entries(entries, subject_id)
     [enrolled] = enroll_owners(manifest_beats(own + pop, map), [subject_id], params)
     return enrolled
@@ -266,7 +264,6 @@ def load_model(path: str) -> SubjectModel:
                               f"n_window={N_WINDOW}, left={LEFT}")
         params = PipelineParams(t_avg=p["t_avg"], m=p["m"], r_min=p["r_min"],
                                 t_v=p["t_v"], n=p["n"], beta=p["beta"])
-        params.validate()
         s = doc["svm"]
         svm = LinearSvm(mu=np.asarray(s["mu"], dtype=np.float64),
                         sigma=np.asarray(s["sigma"], dtype=np.float64),

@@ -4,9 +4,13 @@ For every multi-session owner S and every other subject I, a classifier is
 trained with I withheld from the negative population, then tested on S's
 held-out test sessions (genuine) and on all of I's sessions (intruder).
 An intruder-pool record is only ever such an attack.
+evaluate is the one evaluation body. A (t_avg, M) sweep runs one
+leave-one-out per distinct PipelineParams, so a sweep cell equal to the
+run's own parameters runs once, and parameters are checked when built, so
+a bad cell is refused before any work starts.
 A record's beats depend on nothing but the record, so each manifest record
-is read and detected once per call (evaluate shares that read between its
-leave-one-out and its sweep), in parallel under jobs > 1. Its feature
+is read and detected once per call, for the run and every sweep cell, in
+parallel under jobs > 1. Its feature
 sequence depends on an owner's template pack only through which beats pass
 the prescreen, and never on the classifier. So enrollment's owner step
 (owner_features) computes each record's features once per accepted set and
@@ -115,13 +119,13 @@ def _replay(svm, batches: list, params: PipelineParams) -> tuple[int, int, list[
             pos_mask = np.zeros(0, dtype=bool)
         n_pos += int(pos_mask.sum())
         n_neg += int((~pos_mask).sum())
-        timelines.append(replay_login(
-            batch.times, pos_mask, batch.duration_s, params.t_v, params.n))
+        timelines.append(replace(
+            replay_login(batch.times, pos_mask, batch.duration_s, params.t_v, params.n),
+            n_rejected=batch.n_rejected))
     return n_pos, n_neg, timelines
 
 
-def _eval_owner(entries, owner: str, step: tuple, params: PipelineParams,
-                c: float) -> list[CellResult]:
+def _eval_owner(entries, owner: str, step: tuple, params: PipelineParams) -> list[CellResult]:
     _, _, positives, batches = step
     genuine_batches = [batches[e] for e in sorted(
         (e for e in entries if e.subject_id == owner and e.role == "test"),
@@ -144,7 +148,7 @@ def _eval_owner(entries, owner: str, step: tuple, params: PipelineParams,
         x = np.concatenate([positives, negatives])
         y = np.concatenate([np.ones(positives.shape[0]),
                             -np.ones(negatives.shape[0])])
-        svm, _ = train_svm(x, y, c=c)
+        svm, _ = train_svm(x, y)
 
         tp, fn, genuine_timelines = _replay(svm, genuine_batches, params)
         fp, tn, intruder_timelines = _replay(
@@ -202,32 +206,21 @@ def _mapper(jobs: int):
         yield pool.map
 
 
-def _run(entries, jobs: int, work):
-    """work(entries, beats, owners, run_map) after the manifest checks, with
-    every manifest record read and detected once, on one pool of jobs workers."""
-    if jobs < 1:
-        raise ContractError(f"jobs must be at least 1, got {jobs}")
-    entries = tuple(entries)
-    owners = _owners(entries)
-    with _mapper(jobs) as run_map:
-        return work(entries, manifest_beats(entries, run_map), owners, run_map)
-
-
-def _leave_one_out(entries, beats: dict, owners: list[str], run_map, params: PipelineParams,
-                   c: float) -> tuple[list[SubjectReport], list[CellResult]]:
+def _leave_one_out(entries, beats: dict, owners: list[str], run_map,
+                   params: PipelineParams) -> tuple[list[SubjectReport], list[CellResult]]:
     steps = owner_features(beats, owners, params, run_map)
-    by_owner = list(run_map(partial(_eval_owner, entries, params=params, c=c),
+    by_owner = list(run_map(partial(_eval_owner, entries, params=params),
                             owners, [steps[owner] for owner in owners]))
     reports = [_aggregate(owner, cells) for owner, cells in zip(owners, by_owner)]
     cells = [cell for owner_cells in by_owner for cell in owner_cells]
     return reports, cells
 
 
-def leave_one_out(entries, params: PipelineParams, jobs: int = 1,
-                  c: float = 1.0) -> tuple[list[SubjectReport], list[CellResult]]:
+def leave_one_out(entries, params: PipelineParams,
+                  jobs: int = 1) -> tuple[list[SubjectReport], list[CellResult]]:
     """Evaluate every multi-session owner against every left-out intruder."""
-    params.validate()
-    return _run(entries, jobs, partial(_leave_one_out, params=params, c=c))
+    reports, cells, _ = evaluate(entries, params, jobs=jobs)
+    return reports, cells
 
 
 def timeline_metrics(genuine: list[Timeline], intruder: list[Timeline]) -> dict:
@@ -259,54 +252,49 @@ class SweepCell:
 
 
 def _grid(params: PipelineParams, t_avg_grid, m_grid) -> list[PipelineParams]:
-    """params at every (t_avg, M) cell, each validated before any runs."""
+    """params at every (t_avg, M) cell; building each cell checks it, so a
+    bad cell is refused before any runs."""
     if not t_avg_grid or not m_grid:
         raise ContractError("sweep grids must be nonempty")
-    grid = [replace(params, t_avg=float(t_avg), m=int(m))
+    return [replace(params, t_avg=float(t_avg), m=int(m))
             for t_avg in t_avg_grid for m in m_grid]
-    for p in grid:
-        p.validate()
-    return grid
 
 
-def _sweep(entries, beats: dict, owners: list[str], run_map,
-           grid: list[PipelineParams]) -> tuple[list[SweepCell], SweepCell]:
-    cells = []
-    for p in grid:
-        _, loo_cells = _leave_one_out(entries, beats, owners, run_map, p, 1.0)
-        bars = _defined(bar, loo_cells)
-        cells.append(SweepCell(
-            t_avg=p.t_avg, m=p.m,
-            avg_bar=float(np.mean(bars)) if bars else None,
-            worst_bar=min(bars) if bars else None))
-    defined = [c for c in cells if c.avg_bar is not None]
-    if not defined:
-        raise UndefinedMetricError("every sweep cell is undefined")
-    best = max(defined, key=lambda c: c.avg_bar)
-    return cells, best
-
-
-def parameter_sweep(entries, t_avg_grid, m_grid, params: PipelineParams,
-                    jobs: int = 1) -> tuple[list[SweepCell], SweepCell]:
-    """Run leave_one_out per (t_avg, M) cell; returns all cells and the argmax."""
-    grid = _grid(params, t_avg_grid, m_grid)
-    return _run(entries, jobs, partial(_sweep, grid=grid))
+def _sweep(p: PipelineParams, cells: list[CellResult]) -> SweepCell:
+    """The sweep cell at p, from the leave-one-out cells run at p."""
+    bars = _defined(bar, cells)
+    return SweepCell(t_avg=p.t_avg, m=p.m,
+                     avg_bar=float(np.mean(bars)) if bars else None,
+                     worst_bar=min(bars) if bars else None)
 
 
 def evaluate(entries, params: PipelineParams, sweep_grids=None, jobs: int = 1):
-    """leave_one_out at params and, given sweep_grids = (t_avg_grid, m_grid),
-    parameter_sweep over that grid, on one pool and one read and detection
-    of every record. Returns (reports, cells, sweep), where sweep is
-    parameter_sweep's (cells, best), or None without grids."""
-    params.validate()
-    grid = None if sweep_grids is None else _grid(params, *sweep_grids)
+    """Leave-one-out at params and, given sweep_grids = (t_avg_grid, m_grid),
+    at every (t_avg, M) cell of that grid, on one pool of jobs workers and
+    one read and detection of every record. Each distinct parameter set
+    runs once, so a cell equal to params reuses the run at params.
 
-    def work(entries, beats, owners, run_map):
-        reports, cells = _leave_one_out(entries, beats, owners, run_map, params, 1.0)
-        sweep = None if grid is None else _sweep(entries, beats, owners, run_map, grid)
-        return reports, cells, sweep
-
-    return _run(entries, jobs, work)
+    Returns (reports, cells, sweep): the leave-one-out at params, and sweep
+    as (every sweep cell, the cell with the best avg_bar), or None without
+    grids.
+    """
+    if jobs < 1:
+        raise ContractError(f"jobs must be at least 1, got {jobs}")
+    grid = [] if sweep_grids is None else _grid(params, *sweep_grids)
+    entries = tuple(entries)
+    owners = _owners(entries)
+    with _mapper(jobs) as run_map:
+        beats = manifest_beats(entries, run_map)
+        runs = {p: _leave_one_out(entries, beats, owners, run_map, p)
+                for p in dict.fromkeys([params, *grid])}
+    reports, cells = runs[params]
+    if sweep_grids is None:
+        return reports, cells, None
+    sweep_cells = [_sweep(p, runs[p][1]) for p in grid]
+    defined = [c for c in sweep_cells if c.avg_bar is not None]
+    if not defined:
+        raise UndefinedMetricError("every sweep cell is undefined")
+    return reports, cells, (sweep_cells, max(defined, key=lambda c: c.avg_bar))
 
 
 # -- CSV artifacts ----------------------------------------------------------

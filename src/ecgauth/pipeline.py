@@ -3,7 +3,9 @@ login state.
 
 A subject's model is its template pack (the enrolled template with its
 mean and sample deviation, and the amplitude gate), the SVM, and the
-pipeline parameters; enroll builds, saves and loads it.
+pipeline parameters; enroll builds, saves and loads it. A PipelineParams
+checks itself when built (dataclasses.replace included), so no caller
+re-checks one.
 
 Each accepted beat triggers a full feature computation over the beats seen
 in the last t_avg seconds: similarity ranks from average-linkage
@@ -21,6 +23,8 @@ during beat-free stretches.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -41,9 +45,14 @@ STATE_LOCKED = "locked"
 STATE_AUTHENTICATED = "authenticated"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PipelineParams:
-    """Verification-pipeline knobs; defaults are the tuned operating point."""
+    """Verification-pipeline knobs, checked when built; defaults are the tuned
+    operating point."""
 
     t_avg: float = 18.0
     m: int = 40
@@ -52,19 +61,21 @@ class PipelineParams:
     n: int = 10
     beta: float = 6.0
 
-    def validate(self) -> None:
-        if self.t_avg <= 0:
-            raise ContractError("t_avg must be positive")
-        if not 1 <= self.m <= N_WINDOW:
-            raise ContractError(f"m must be in [1, {N_WINDOW}]")
+    def __post_init__(self) -> None:
+        # a non-finite t_v or t_avg would keep a login open or a buffer
+        # growing forever, so only finite values are parameters
+        if not (math.isfinite(self.t_avg) and self.t_avg > 0):
+            raise ContractError("t_avg must be positive and finite")
+        if not (_is_int(self.m) and 1 <= self.m <= N_WINDOW):
+            raise ContractError(f"m must be an integer in [1, {N_WINDOW}]")
         if not 0.0 < self.r_min < 1.0:
             raise ContractError("r_min must be in (0, 1)")
-        if self.t_v <= 0:
-            raise ContractError("t_v must be positive")
-        if self.n < 1:
-            raise ContractError("n must be at least 1")
-        if self.beta < 0:
-            raise ContractError("beta must be nonnegative")
+        if not (math.isfinite(self.t_v) and self.t_v > 0):
+            raise ContractError("t_v must be positive and finite")
+        if not (_is_int(self.n) and self.n >= 1):
+            raise ContractError("n must be an integer of at least 1")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ContractError("beta must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,6 @@ class FeatureStream:
     """
 
     def __init__(self, pack: TemplatePack, params: PipelineParams):
-        params.validate()
         self.pack = pack
         self.params = params
         self._dct = DctMatrix.build(n=N_WINDOW, m=params.m)
@@ -240,8 +250,8 @@ class VerificationPipeline:
     def tick(self, t: float) -> None:
         self._transition_rows(self.login.advance(t))
 
-    def process_beat(self, beat, t: float | None = None) -> str:
-        return self.process_window(beat.window, beat.t if t is None else t)
+    def process_beat(self, beat) -> str:
+        return self.process_window(beat.window, beat.t)
 
     def process_window(self, window: np.ndarray, t: float) -> str:
         """Decide one beat; returns its kind (rejected, positive or negative)."""
@@ -332,7 +342,6 @@ def collect_features(beats: RecordBeats, packs, params: PipelineParams) -> list[
     beats share one FeatureBatch. Every batch equals what streaming the
     record through a FeatureStream of its pack gives.
     """
-    params.validate()
     times = beats.times
     windows = np.asarray(beats.windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] != N_WINDOW:

@@ -260,6 +260,8 @@ def default_cohort(n_subjects: int = 8, seed: int = 0,
     """
     if n_subjects < 2:
         raise ContractError("cohort needs at least 2 subjects")
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     if session_s < 600.0:
         raise ContractError("sessions must be at least 600 s")
     subjects = []

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import ecgauth.ecgio as ecgio
 from ecgauth.cli import _parse_sweep, main
 from ecgauth.ecgio import EcgRecord, write_record
 from ecgauth.errors import ContractError
@@ -56,6 +57,12 @@ def test_synth_is_deterministic(tmp_path):
 def test_synth_rejects_single_subject(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "c"), "--subjects", "1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_synth_rejects_negative_seed(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "c"), "--subjects", "2",
+                 "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed")
 
 
 # -- enroll --------------------------------------------------------------------
@@ -158,6 +165,19 @@ def test_evaluate_rejects_bad_sweep_before_running(cohort3_dir, tmp_path, capsys
     assert rc == 1
     assert "sweep needs both" in capsys.readouterr().err
     assert not (out / "report.csv").exists()  # refused before any work
+
+
+def test_evaluate_rejects_infinite_decision_window_before_reading(
+        cohort3_dir, tmp_path, capsys, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(ecgio, "read_record", no_read)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--manifest", str(cohort3_dir / "manifest.csv"),
+                 "--out", str(out), "--t-v", "inf"]) == 1
+    assert "t_v" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_sweep_grids():

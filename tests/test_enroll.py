@@ -93,10 +93,13 @@ def test_template_pack_build_contract():
 @pytest.mark.parametrize("bad", [
     dict(t_avg=0.0), dict(m=0), dict(m=257), dict(r_min=0.0), dict(r_min=1.0),
     dict(t_v=-1.0), dict(n=0), dict(beta=-0.5),
+    *({name: value} for name in ("t_avg", "t_v", "beta")
+      for value in (float("nan"), float("inf"), float("-inf"))),
+    dict(m=20.5), dict(n=10.5), dict(n=True),
 ])
 def test_params_validation(bad):
     with pytest.raises(ContractError):
-        PipelineParams(**bad).validate()
+        PipelineParams(**bad)
 
 
 # -- owner step ----------------------------------------------------------------
@@ -241,6 +244,16 @@ def test_load_model_rejects_other_beat_window(model3, tmp_path, key, value):
     doc["params"][key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match="n_window"):
+        load_model(path)
+
+
+def test_load_model_rejects_infinite_decision_window(model3, tmp_path):
+    # json reads Infinity; a login under t_v = inf would never lock
+    path = tmp_path / "m.json"
+    save_model(model3[0], path)
+    path.write_text(path.read_text().replace('"t_v": 30,', '"t_v": Infinity,'))
+    assert json.loads(path.read_text())["params"]["t_v"] == float("inf")
+    with pytest.raises(ContractError, match="t_v"):
         load_model(path)
 
 

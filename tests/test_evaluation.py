@@ -17,12 +17,12 @@ from ecgauth.ecgio import (EcgRecord, ManifestEntry, read_manifest, write_manife
 from ecgauth.enroll import PipelineParams, build_template_pack, enroll_subject
 from ecgauth.errors import ContractError, UndefinedMetricError
 from ecgauth.evaluation import (CellResult, ConfusionCounts, SubjectReport,
-                                SweepCell, bar, evaluate, fpr, leave_one_out,
-                                parameter_sweep, timeline_metrics, tpr,
-                                write_report_csv, write_sweep_csv)
+                                SweepCell, _replay, bar, evaluate, fpr, leave_one_out,
+                                timeline_metrics, tpr, write_report_csv, write_sweep_csv)
 from ecgauth.pipeline import (STATE_AUTHENTICATED, STATE_LOCKED, TemplatePack,
                               Timeline, replay_login)
 from ecgauth.synth import default_cohort, write_cohort
+from helpers import constant_margin_svm
 
 PARAMS = PipelineParams()
 
@@ -162,7 +162,7 @@ def test_leave_one_out_reads_and_detects_each_record_once(short3, monkeypatch):
 
 def test_sweep_reads_and_detects_each_record_once(short3, monkeypatch):
     reads, detections = _count_reads_and_detections(monkeypatch)
-    cells, _ = parameter_sweep(short3, [12.0, 18.0], [40], PARAMS)
+    _, _, (cells, _) = evaluate(short3, PARAMS, ([12.0, 18.0], [40]))
     assert [(c.t_avg, c.m) for c in cells] == [(12.0, 40), (18.0, 40)]
     assert reads == Counter(e.path for e in short3)
     assert detections == Counter((e.subject_id, e.session_id) for e in short3)
@@ -215,8 +215,9 @@ def test_leave_one_out_ranks_each_record_once_for_all_owners(short3, monkeypatch
 
 
 def test_sweep_ranks_each_record_once_per_cell(short3, monkeypatch):
+    # the (18, 40) cell is the run's own parameters: one leave-one-out serves both
     ranked = _count_ranked_sets(monkeypatch)
-    parameter_sweep(short3, [12.0, 18.0], [40], PARAMS)
+    evaluate(short3, PARAMS, ([12.0, 18.0], [40]))
     assert len(ranked) == len(short3)
     assert set(ranked.values()) == {2}
 
@@ -230,14 +231,21 @@ def test_enroll_command_ranks_each_training_record_once(short3, monkeypatch, tmp
     assert set(ranked.values()) == {1}
 
 
-def test_owners_whose_gates_accept_different_beats_get_two_batches(short3, monkeypatch):
-    ranked = _count_ranked_sets(monkeypatch)
+def _gated_packs(short3):
+    """subj02's test beats, and subj01's pack whole and with an amplitude
+    gate that rejects about half of those beats."""
     entry = next(e for e in short3 if e.subject_id == "subj02" and e.role == "test")
     beats = ecgio.manifest_beats([entry], map)[entry]
     own = [e for e in short3 if e.subject_id == "subj01" and e.role == "enroll"]
     whole, _ = build_template_pack(list(ecgio.manifest_beats(own, map).values()), PARAMS)
     gated = TemplatePack.build(whole.template, whole.amp_lo,
                                float(np.median(beats.windows.max(axis=1))))
+    return beats, whole, gated
+
+
+def test_owners_whose_gates_accept_different_beats_get_two_batches(short3, monkeypatch):
+    beats, whole, gated = _gated_packs(short3)
+    ranked = _count_ranked_sets(monkeypatch)
     batches = pipeline.collect_features(beats, [whole, gated, whole], PARAMS)
     assert batches[0] is batches[2] and batches[0] is not batches[1]
     assert batches[0].n_rejected == 0
@@ -245,12 +253,22 @@ def test_owners_whose_gates_accept_different_beats_get_two_batches(short3, monke
     assert sorted(ranked.values()) == [1, 1] and len(ranked) == 2
 
 
+def test_evaluation_timelines_count_prescreen_rejections(short3):
+    beats, whole, gated = _gated_packs(short3)
+    batches = pipeline.collect_features(beats, [whole, gated], PARAMS)
+    _, _, timelines = _replay(constant_margin_svm(PARAMS.m, 1.0), batches, PARAMS)
+    assert [t.n_rejected for t in timelines] == [b.n_rejected for b in batches]
+    assert timelines[1].n_rejected > 0
+    for t in timelines:
+        assert t.n_positive + t.n_negative + t.n_rejected == len(beats.times)
+
+
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_jobs_below_one_refused(short3, jobs):
     with pytest.raises(ContractError, match="jobs"):
         leave_one_out(short3, PARAMS, jobs=jobs)
     with pytest.raises(ContractError, match="jobs"):
-        parameter_sweep(short3, [12.0], [40], PARAMS, jobs=jobs)
+        evaluate(short3, PARAMS, ([12.0], [40]), jobs=jobs)
     with pytest.raises(ContractError, match="jobs"):
         evaluate(short3, PARAMS, jobs=jobs)
 
@@ -342,7 +360,8 @@ def test_timeline_metrics_match_replayed_login():
 
 def test_single_cell_sweep_reduces_to_leave_one_out(loo3, entries3):
     _, cells = loo3
-    sweep_cells, best = parameter_sweep(entries3, [18.0], [40], PARAMS)
+    reports, loo_cells, (sweep_cells, best) = evaluate(entries3, PARAMS, ([18.0], [40]))
+    assert (reports, loo_cells) == loo3
     bars = [bar(c.counts) for c in cells]
     expected = SweepCell(t_avg=18.0, m=40, avg_bar=float(np.mean(bars)),
                          worst_bar=min(bars))
@@ -352,9 +371,18 @@ def test_single_cell_sweep_reduces_to_leave_one_out(loo3, entries3):
 
 def test_sweep_rejects_empty_grid(entries3):
     with pytest.raises(ContractError, match="nonempty"):
-        parameter_sweep(entries3, [], [40], PARAMS)
+        evaluate(entries3, PARAMS, ([], [40]))
     with pytest.raises(ContractError, match="nonempty"):
-        parameter_sweep(entries3, [18.0], [], PARAMS)
+        evaluate(entries3, PARAMS, ([18.0], []))
+
+
+def test_sweep_refuses_a_bad_cell_before_reading(entries3, monkeypatch):
+    reads, _ = _count_reads_and_detections(monkeypatch)
+    with pytest.raises(ContractError, match="m must"):
+        evaluate(entries3, PARAMS, ([18.0], [40, 0]))
+    with pytest.raises(ContractError, match="t_avg must"):
+        evaluate(entries3, PARAMS, ([float("inf")], [40]))
+    assert not reads
 
 
 # -- CSV artifacts ---------------------------------------------------------------

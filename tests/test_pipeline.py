@@ -18,6 +18,7 @@ from ecgauth.beatmath import (DctMatrix, cluster_ranks, dct_features,
 from ecgauth.ecgio import EcgRecord, read_record
 from ecgauth.enroll import PipelineParams
 from ecgauth.errors import ContractError
+from ecgauth.evaluation import _replay
 from ecgauth.qrs import N_WINDOW, RecordBeats, record_beats
 from ecgauth.pipeline import (KIND_NEGATIVE, KIND_POSITIVE, KIND_REJECTED,
                               KIND_TRANSITION, STATE_AUTHENTICATED, STATE_LOCKED,
@@ -189,6 +190,25 @@ def test_tick_backdates_expiry():
     timeline = pipe.finish(60.0)
     assert timeline.transitions == [(10.0, STATE_AUTHENTICATED), (31.0, STATE_LOCKED)]
     assert (31.0, KIND_TRANSITION, None, None, STATE_LOCKED) in timeline.rows
+
+
+def test_zero_margin_is_negative_on_both_decision_paths():
+    # LinearSvm.predict rejects a zero margin; neither the live path nor the
+    # evaluation replay calls predict, so each must reject it on its own
+    model = tiny_model(svm=constant_margin_svm(PARAMS.m, 0.0))
+    pipe = VerificationPipeline(model)
+    times = np.arange(1.0, 41.0)
+    windows = np.stack([beat_shape(1000.0 + k) for k in range(len(times))])
+    kinds = {pipe.process_beat(make_beat(w, t)) for w, t in zip(windows, times.tolist())}
+    assert kinds == {KIND_NEGATIVE}
+    timeline = pipe.finish(45.0)
+    assert timeline.transitions == [] and timeline.authenticated_seconds() == 0.0
+    beats = RecordBeats(subject_id="unit", session_id="s1", fs=512, times=times,
+                        windows=windows, detected=len(times), duration_s=45.0)
+    [batch] = collect_features(beats, [model.pack], PARAMS)
+    n_pos, n_neg, [replayed] = _replay(model.svm, [batch], PARAMS)
+    assert (n_pos, n_neg) == (0, len(times))
+    assert replayed.transitions == []
 
 
 # -- whole-record streaming ---------------------------------------------------
