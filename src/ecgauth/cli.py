@@ -1,9 +1,11 @@
 """Command-line entry point: synth, enroll, verify, evaluate.
 
-Every run resolves its configuration first and writes it to run.json in the
-output directory, so any result can be reproduced from run.json plus the
-input files. No command reads the wall clock; the only randomness is
-synth's --seed flag, which feeds the synthetic generator.
+Every run resolves its configuration first and, once its outputs are
+written, records it in run.json in the output directory, so any result can
+be reproduced from run.json plus the input files. A refused run creates no
+output directory and leaves no run.json. No command reads the wall clock;
+the only randomness is synth's --seed flag, which feeds the synthetic
+generator.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .ecgio import TRAIN_ROLES, manifest_beats, read_manifest, read_record
+from .ecgio import read_manifest, read_record
 from .enroll import enroll_owners, load_model, owners, save_model
 from .errors import ContractError, EcgAuthError
 from .evaluation import evaluate, timeline_metrics, write_report_csv, write_sweep_csv
@@ -50,7 +52,7 @@ def _params_config(params: PipelineParams) -> dict:
 
 
 def _write_run_json(out_dir: str, command: str, config: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """Record a finished run's configuration beside its outputs."""
     doc = {"version": __version__, "command": command, "config": config}
     with open(os.path.join(out_dir, "run.json"), "w", newline="") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -58,11 +60,10 @@ def _write_run_json(out_dir: str, command: str, config: dict) -> None:
 
 
 def cmd_synth(args) -> int:
-    _write_run_json(args.out, "synth", {
-        "subjects": args.subjects, "seed": args.seed, "out": args.out,
-    })
+    config = {"subjects": args.subjects, "seed": args.seed, "out": args.out}
     cohort = default_cohort(n_subjects=args.subjects, seed=args.seed)
     manifest = write_cohort(cohort, args.out)
+    _write_run_json(args.out, "synth", config)
     n_records = sum(len(s.sessions) for s in cohort)
     print(f"wrote {len(cohort)} subjects, {n_records} records")
     print(f"manifest: {manifest}")
@@ -71,18 +72,15 @@ def cmd_synth(args) -> int:
 
 def cmd_enroll(args) -> int:
     params = _params(args)
-    _write_run_json(args.out, "enroll", {
-        "manifest": args.manifest, "out": args.out,
-        "params": _params_config(params),
-    })
+    config = {"manifest": args.manifest, "out": args.out,
+              "params": _params_config(params)}
     entries = read_manifest(args.manifest)
     subjects = owners(entries)
-    # every owner trains on these records: read, detect and stream each once
-    beats = manifest_beats([e for e in entries if e.role in TRAIN_ROLES], map)
+    enrolled = enroll_owners(entries, subjects, params)
     models_dir = os.path.join(args.out, "models")
     os.makedirs(models_dir, exist_ok=True)
     provenance = []
-    for subject, (model, rows) in zip(subjects, enroll_owners(beats, subjects, params)):
+    for subject, (model, rows) in zip(subjects, enrolled):
         save_model(model, os.path.join(models_dir, f"{subject}.json"))
         provenance.extend(rows)
         print(f"enrolled {subject}")
@@ -90,19 +88,20 @@ def cmd_enroll(args) -> int:
         fh.write("subject,session,role,beats_detected,beats_surviving\n")
         for row in provenance:
             fh.write(",".join(str(v) for v in row) + "\n")
+    _write_run_json(args.out, "enroll", config)
     print(f"models: {models_dir}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    _write_run_json(args.out, "verify", {
-        "model": args.model, "record": args.record, "out": args.out,
-    })
+    config = {"model": args.model, "record": args.record, "out": args.out}
     model = load_model(args.model)
     record = read_record(args.record)
     timeline = stream_record(model, record)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "timeline.csv")
     write_timeline_csv(timeline, path)
+    _write_run_json(args.out, "verify", config)
     decisions = timeline.n_positive + timeline.n_negative
     rate = f"{timeline.n_positive / decisions:.4f}" if decisions else "N/A"
     print(f"authenticated_s: {timeline.authenticated_seconds():.1f}")
@@ -151,9 +150,9 @@ def cmd_evaluate(args) -> int:
         "jobs": args.jobs, "params": _params_config(params),
         "sweep": args.sweep,
     }
-    _write_run_json(args.out, "evaluate", config)
     entries = read_manifest(args.manifest)
     reports, cells, sweep = evaluate(entries, params, sweep_grids, jobs=args.jobs)
+    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
     write_report_csv(reports, report_path)
     genuine = [t for cell in cells for t in cell.genuine_timelines]
@@ -173,6 +172,7 @@ def cmd_evaluate(args) -> int:
         print(f"sweep: {sweep_path}")
         best_bar = "N/A" if best.avg_bar is None else f"{100.0 * best.avg_bar:.2f}"
         print(f"best cell: t_avg={best.t_avg:g} M={best.m} avg_bar={best_bar}")
+    _write_run_json(args.out, "evaluate", config)
     return 0
 
 

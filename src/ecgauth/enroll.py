@@ -9,10 +9,12 @@ later verification.
 owner_features is the one owner step, shared with leave-one-out: it builds
 every owner's template pack from its enroll-role records and computes each
 record's features once per set of beats the packs accept, so owners whose
-packs accept the same beats share them. enroll_subject reads only the
-records it trains on; enroll_owners trains every owner from beats that
-manifest_beats read once, so enrolling every owner of a manifest reads,
-detects and streams each record once.
+packs accept the same beats share them. negatives is the one negative-class
+rule and fit the one classifier fit, also shared with leave-one-out: an
+enrolled model is leave-one-out's fit with nobody left out. enroll_owners
+reads only the records its owners train on, and reads, detects and streams
+each of them once for all owners; enroll_subject is enroll_owners for one
+owner.
 
 Model files are JSON with every float printed to 17 significant digits, so
 a load(save(m)) round-trip reproduces bit-identical predictions.
@@ -138,41 +140,53 @@ def owner_features(beats: dict, owners: list[str], params: PipelineParams, run_m
     return steps
 
 
-def _training_entries(entries, owner: str) -> tuple[list, list]:
-    """The owner's enroll-role entries by session, and every other subject's
-    training-role entries by (subject, session, role)."""
-    own = _own_enroll(entries, owner)
-    pop = sorted((e for e in entries if e.subject_id != owner and e.role in TRAIN_ROLES),
-                 key=lambda e: (e.subject_id, e.session_id, e.role))
-    if not pop:
-        raise ContractError(f"{owner}: no population subjects in manifest")
-    return own, pop
+def negatives(entries, owner: str, left_out: str | None = None) -> list:
+    """The one negative-class rule: every training-role record of every
+    subject but the owner and left_out, by (subject, session, role).
 
-
-def enroll_owners(beats: dict, owners: list[str], params: PipelineParams) -> list:
-    """Each owner's (model, provenance) from manifest_beats output; see
-    enroll_subject.
-
-    Only each owner's enroll-role records and every other subject's
-    enroll/population-role records in beats are used, and each is streamed
-    once for all owners.
+    An enrolled model leaves nobody out; leave-one-out leaves out the
+    intruder it tests. ContractError when no such record exists.
     """
-    training = {owner: _training_entries(beats, owner) for owner in owners}
-    used = {e for own, pop in training.values() for e in own + pop}
-    steps = owner_features({e: b for e, b in beats.items() if e in used}, owners, params, map)
+    negs = sorted((e for e in entries
+                   if e.subject_id not in (owner, left_out) and e.role in TRAIN_ROLES),
+                  key=lambda e: (e.subject_id, e.session_id, e.role))
+    if not negs:
+        besides = "" if left_out is None else f" besides {left_out}"
+        raise ContractError(f"{owner}: no population subjects{besides} in manifest")
+    return negs
+
+
+def fit(owner: str, positives: np.ndarray, batches: dict, negs: list) -> tuple[LinearSvm, int]:
+    """The owner's SVM: positives against the feature rows of negs' batches,
+    stacked in negs' order. Returns (svm, number of negative rows)."""
+    negative = np.concatenate([batches[e].features for e in negs])
+    if not negative.shape[0]:
+        raise ContractError(f"{owner}: no negative training rows survive the owner's prescreen")
+    x = np.concatenate([positives, negative])
+    y = np.concatenate([np.ones(positives.shape[0]), -np.ones(negative.shape[0])])
+    svm, _ = train_svm(x, y)
+    return svm, negative.shape[0]
+
+
+def enroll_owners(entries, owners: list[str], params: PipelineParams) -> list:
+    """Each owner's (model, provenance) from a manifest; see enroll_subject.
+
+    Reads only the records the owners train on, each once for all owners.
+    """
+    training = {owner: (_own_enroll(entries, owner), negatives(entries, owner))
+                for owner in owners}
+    beats = manifest_beats([e for own, negs in training.values() for e in own + negs], map)
+    steps = owner_features(beats, owners, params, map)
     enrolled = []
     for owner in owners:
-        own, pop = training[owner]
+        own, negs = training[owner]
         pack, survivors, positives, batches = steps[owner]
-        negatives = np.concatenate([batches[e].features for e in pop])
-        x = np.concatenate([positives, negatives])
-        y = np.concatenate([np.ones(positives.shape[0]), -np.ones(negatives.shape[0])])
-        svm, _ = train_svm(x, y)
+        svm, _ = fit(owner, positives, batches, negs)
         model = SubjectModel(owner, beats[own[0]].fs, pack, svm, params)
         provenance = ([(owner, e.session_id, "enroll", beats[e].detected, n_kept)
                        for e, n_kept in zip(own, survivors)]
                       + [(e.subject_id, e.session_id, e.role, batches[e].beats_detected,
-                          batches[e].features.shape[0]) for e in pop])
+                          batches[e].features.shape[0]) for e in negs])
         enrolled.append((model, provenance))
     return enrolled
 
@@ -188,9 +202,7 @@ def enroll_subject(entries, subject_id: str, params: PipelineParams):
     (subject_id, session_id, role, beats_detected, beats_surviving) per
     record that was read.
     """
-    own, pop = _training_entries(entries, subject_id)
-    [enrolled] = enroll_owners(manifest_beats(own + pop, map), [subject_id], params)
-    return enrolled
+    return enroll_owners(entries, [subject_id], params)[0]
 
 
 # -- model persistence ------------------------------------------------------
@@ -249,8 +261,19 @@ def save_model(model: SubjectModel, path: str) -> None:
         fh.write("\n")
 
 
+def _finite(value, shape: tuple, name: str) -> np.ndarray:
+    """value as float64 of this shape; ValueError unless every entry is finite."""
+    a = np.asarray(value, dtype=np.float64)
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, of shape {shape}")
+    return a
+
+
 def load_model(path: str) -> SubjectModel:
-    """Read a model file; FormatError unless it holds a model of this format."""
+    """Read a model file; FormatError unless it holds a model of this format
+    that save_model could have written: an integer fs of at least 1, a
+    template of N_WINDOW samples, m entries in each of mu, sigma and w, every
+    number finite, and sigma positive."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -264,16 +287,21 @@ def load_model(path: str) -> SubjectModel:
                               f"n_window={N_WINDOW}, left={LEFT}")
         params = PipelineParams(t_avg=p["t_avg"], m=p["m"], r_min=p["r_min"],
                                 t_v=p["t_v"], n=p["n"], beta=p["beta"])
+        fs = doc["fs"]
+        if isinstance(fs, bool) or not isinstance(fs, int) or fs < 1:
+            raise ValueError(f"fs must be an integer of at least 1, got {fs!r}")
         s = doc["svm"]
-        svm = LinearSvm(mu=np.asarray(s["mu"], dtype=np.float64),
-                        sigma=np.asarray(s["sigma"], dtype=np.float64),
-                        w=np.asarray(s["w"], dtype=np.float64),
-                        b=float(s["b"]), c=float(s["c"]),
+        mu, sigma, w = (_finite(s[k], (params.m,), f"svm.{k}") for k in ("mu", "sigma", "w"))
+        if not (sigma > 0.0).all():
+            raise ValueError("svm.sigma must be positive")
+        svm = LinearSvm(mu=mu, sigma=sigma, w=w,
+                        b=float(_finite(s["b"], (), "svm.b")), c=float(s["c"]),
                         class_weights=(float(s["class_weights"][0]),
                                        float(s["class_weights"][1])))
-        pack = TemplatePack.build(np.asarray(doc["template"], dtype=np.float64),
-                                  float(doc["amp_lo"]), float(doc["amp_hi"]))
-        return SubjectModel(doc["subject_id"], int(doc["fs"]), pack, svm, params)
+        amp_lo, amp_hi = (float(_finite(doc[k], (), k)) for k in ("amp_lo", "amp_hi"))
+        pack = TemplatePack.build(_finite(doc["template"], (N_WINDOW,), "template"),
+                                  amp_lo, amp_hi)
+        return SubjectModel(doc["subject_id"], fs, pack, svm, params)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         # json.JSONDecodeError is a ValueError
         raise FormatError(f"{path}: malformed model file: {exc!r}") from None

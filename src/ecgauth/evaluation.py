@@ -3,7 +3,11 @@
 For every multi-session owner S and every other subject I, a classifier is
 trained with I withheld from the negative population, then tested on S's
 held-out test sessions (genuine) and on all of I's sessions (intruder).
-An intruder-pool record is only ever such an attack.
+An intruder-pool record is only ever such an attack. The training is
+enrollment's: enroll.negatives with I left out is the negative class and
+enroll.fit the one classifier fit, so an enrolled model is the same fit
+with nobody left out. Every cell's negative class is checked before any
+record is read.
 evaluate is the one evaluation body. A (t_avg, M) sweep runs one
 leave-one-out per distinct PipelineParams, so a sweep cell equal to the
 run's own parameters runs once, and parameters are checked when built, so
@@ -16,8 +20,9 @@ the prescreen, and never on the classifier. So enrollment's owner step
 (owner_features) computes each record's features once per accepted set and
 parameter cell, in one task per record, and owners whose packs accept the
 same beats share them. Each owner task then carries only its own feature
-batches, and the per-intruder work reduces to SVM training plus margin
-evaluation over them. Nothing is kept between calls.
+batches, and the per-intruder work reduces to fit plus margin evaluation
+over them. A cell's confusion counts and genuine seconds are read off its
+timelines. Nothing is kept between calls.
 
 Undefined rates (a zero denominator) propagate as N/A; they are never
 silently reported as zero.
@@ -34,10 +39,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from .ecgio import TRAIN_ROLES, manifest_beats
-from .enroll import owner_features, owners
+from .enroll import fit, negatives, owner_features, owners
 from .errors import ContractError, UndefinedMetricError
 from .pipeline import PipelineParams, Timeline, replay_login
-from .svm import train_svm
 
 
 @dataclass
@@ -76,12 +80,22 @@ class CellResult:
 
     owner: str
     intruder: str
-    counts: ConfusionCounts
     genuine_timelines: list
     intruder_timelines: list
-    genuine_seconds: float
     n_train_pos: int
     n_train_neg: int
+
+    @property
+    def counts(self) -> ConfusionCounts:
+        genuine, intruder = self.genuine_timelines, self.intruder_timelines
+        return ConfusionCounts(tp=sum(t.n_positive for t in genuine),
+                               fn=sum(t.n_negative for t in genuine),
+                               tn=sum(t.n_negative for t in intruder),
+                               fp=sum(t.n_positive for t in intruder))
+
+    @property
+    def genuine_seconds(self) -> float:
+        return sum(t.duration_s for t in self.genuine_timelines)
 
 
 @dataclass
@@ -108,21 +122,11 @@ def _check_session_separation(entries) -> None:
                 f"training and test roles")
 
 
-def _replay(svm, batches: list, params: PipelineParams) -> tuple[int, int, list[Timeline]]:
-    """Positive and negative decision counts over batches, and each one's timeline."""
-    n_pos = n_neg = 0
-    timelines = []
-    for batch in batches:
-        if batch.features.shape[0]:
-            pos_mask = svm.margins(batch.features) > 0.0
-        else:
-            pos_mask = np.zeros(0, dtype=bool)
-        n_pos += int(pos_mask.sum())
-        n_neg += int((~pos_mask).sum())
-        timelines.append(replace(
-            replay_login(batch.times, pos_mask, batch.duration_s, params.t_v, params.n),
-            n_rejected=batch.n_rejected))
-    return n_pos, n_neg, timelines
+def _replay(svm, batches: list, params: PipelineParams) -> list[Timeline]:
+    """Each batch's login timeline under svm's decisions."""
+    return [replace(replay_login(b.times, svm.margins(b.features) > 0.0, b.duration_s,
+                                 params.t_v, params.n),
+                    n_rejected=b.n_rejected) for b in batches]
 
 
 def _eval_owner(entries, owner: str, step: tuple, params: PipelineParams) -> list[CellResult]:
@@ -130,36 +134,16 @@ def _eval_owner(entries, owner: str, step: tuple, params: PipelineParams) -> lis
     genuine_batches = [batches[e] for e in sorted(
         (e for e in entries if e.subject_id == owner and e.role == "test"),
         key=lambda e: e.session_id)]
-    others = sorted({e.subject_id for e in entries} - {owner})
-    by_subject = {subject: sorted((e for e in entries if e.subject_id == subject),
-                                  key=lambda e: (e.session_id, e.role))
-                  for subject in others}
-
     cells = []
-    for intruder in others:
-        neg_parts = [batches[e].features for subject in others if subject != intruder
-                     for e in by_subject[subject]
-                     if e.role in TRAIN_ROLES and batches[e].features.shape[0]]
-        if not neg_parts:
-            raise ContractError(
-                f"{owner} vs {intruder}: no negative training rows survive "
-                f"the owner's prescreen")
-        negatives = np.concatenate(neg_parts)
-        x = np.concatenate([positives, negatives])
-        y = np.concatenate([np.ones(positives.shape[0]),
-                            -np.ones(negatives.shape[0])])
-        svm, _ = train_svm(x, y)
-
-        tp, fn, genuine_timelines = _replay(svm, genuine_batches, params)
-        fp, tn, intruder_timelines = _replay(
-            svm, [batches[e] for e in by_subject[intruder]], params)
+    for intruder in sorted({e.subject_id for e in entries} - {owner}):
+        svm, n_negative = fit(owner, positives, batches, negatives(entries, owner, intruder))
+        attacks = sorted((e for e in entries if e.subject_id == intruder),
+                         key=lambda e: (e.session_id, e.role))
         cells.append(CellResult(
             owner=owner, intruder=intruder,
-            counts=ConfusionCounts(tp=tp, fn=fn, tn=tn, fp=fp),
-            genuine_timelines=genuine_timelines,
-            intruder_timelines=intruder_timelines,
-            genuine_seconds=sum(b.duration_s for b in genuine_batches),
-            n_train_pos=positives.shape[0], n_train_neg=negatives.shape[0]))
+            genuine_timelines=_replay(svm, genuine_batches, params),
+            intruder_timelines=_replay(svm, [batches[e] for e in attacks], params),
+            n_train_pos=positives.shape[0], n_train_neg=n_negative))
     return cells
 
 
@@ -188,12 +172,17 @@ def _aggregate(owner: str, cells: list[CellResult]) -> SubjectReport:
 
 
 def _owners(entries) -> list[str]:
-    """Subjects with enroll and test sessions, after the manifest checks."""
+    """Subjects with enroll and test sessions, after the manifest checks:
+    every (owner, intruder) cell has a negative class."""
     subjects = {e.subject_id for e in entries}
     if len(subjects) < 3:
         raise ContractError(f"leave-one-out needs at least 3 subjects, got {len(subjects)}")
     _check_session_separation(entries)
-    return owners(entries)
+    found = owners(entries)
+    for owner in found:
+        for intruder in sorted(subjects - {owner}):
+            negatives(entries, owner, intruder)
+    return found
 
 
 @contextmanager

@@ -9,7 +9,7 @@ import pytest
 
 import ecgauth.ecgio as ecgio
 from ecgauth.cli import _parse_sweep, main
-from ecgauth.ecgio import EcgRecord, write_record
+from ecgauth.ecgio import EcgRecord, read_manifest, write_manifest, write_record
 from ecgauth.errors import ContractError
 
 
@@ -63,6 +63,7 @@ def test_synth_rejects_negative_seed(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "c"), "--subjects", "2",
                  "--seed", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error: seed")
+    assert not (tmp_path / "c").exists()
 
 
 # -- enroll --------------------------------------------------------------------
@@ -83,6 +84,7 @@ def test_enroll_missing_manifest_fails(tmp_path, capsys):
     assert main(["enroll", "--manifest", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_enroll_rejects_bad_params(cohort3_dir, tmp_path, capsys):
@@ -125,14 +127,44 @@ def test_verify_rejects_sample_rate_mismatch(enrolled3, tmp_path, capsys):
     assert "fs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", ['{"format_version": 1}', "[]", "not json"])
-def test_verify_rejects_malformed_model(cohort3_dir, tmp_path, capsys, body):
+def _model_with(path, value):
+    """An edit of a model document: the field at path (a key sequence) set to
+    value, or to value(old) when value is callable."""
+    def edit(doc):
+        *outer, last = path
+        for key in outer:
+            doc = doc[key]
+        doc[last] = value(doc[last]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("body", [
+    '{"format_version": 1}', "[]", "not json",
+    pytest.param(_model_with(["svm", "w"], lambda w: w[:-1]), id="short-w"),
+    pytest.param(_model_with(["svm", "mu"], lambda mu: mu + [0.0]), id="long-mu"),
+    pytest.param(_model_with(["template"], lambda t: t[:100]), id="short-template"),
+    pytest.param(_model_with(["fs"], 512.9), id="fractional-fs"),
+    pytest.param(_model_with(["fs"], True), id="boolean-fs"),
+    pytest.param(_model_with(["fs"], 0), id="zero-fs"),
+    pytest.param(_model_with(["svm", "b"], float("inf")), id="infinite-b"),
+    pytest.param(_model_with(["svm", "w"], lambda w: [float("nan")] + w[1:]), id="nan-w"),
+    pytest.param(_model_with(["svm", "sigma"], lambda s: [0.0] + s[1:]), id="zero-sigma"),
+    pytest.param(_model_with(["template"], lambda t: [float("inf")] + t[1:]),
+                 id="infinite-template"),
+    pytest.param(_model_with(["amp_lo"], float("-inf")), id="infinite-amp-lo"),
+])
+def test_verify_rejects_malformed_model(enrolled3, cohort3_dir, tmp_path, capsys, body):
+    if callable(body):
+        doc = json.loads((enrolled3 / "models" / "subj01.json").read_text())
+        body(doc)
+        body = json.dumps(doc)
     model = tmp_path / "model.json"
     model.write_text(body)
     assert main(["verify", "--model", str(model),
                  "--record", str(cohort3_dir / "records" / "subj01_s2.csv"),
                  "--out", str(tmp_path / "out")]) == 1
     assert "malformed model file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- evaluate ------------------------------------------------------------------
@@ -156,6 +188,19 @@ def test_evaluate_writes_report_and_metrics(cohort3_dir, tmp_path, capsys):
     assert run["config"]["jobs"] == 1 and run["config"]["sweep"] is None
     assert run["config"]["params"]["m"] == 40
     assert "report:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("subjects", [pytest.param(None, id="missing-manifest"),
+                                      pytest.param(("subj01", "subj02"), id="two-subjects")])
+def test_refused_evaluate_leaves_no_output(cohort3_dir, tmp_path, capsys, subjects):
+    manifest = tmp_path / "manifest.csv"  # missing unless subjects are given
+    if subjects is not None:
+        write_manifest([e for e in read_manifest(cohort3_dir / "manifest.csv")
+                        if e.subject_id in subjects], manifest)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_evaluate_rejects_bad_sweep_before_running(cohort3_dir, tmp_path, capsys):

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import ecgauth.pipeline as pipeline
-from ecgauth.ecgio import EcgRecord, ManifestEntry, read_record, write_record
-from ecgauth.enroll import (PipelineParams, build_template_pack, enroll_subject,
-                            load_model, owner_features, save_model)
+from ecgauth.ecgio import EcgRecord, ManifestEntry, manifest_beats, read_record, write_record
+from ecgauth.enroll import (PipelineParams, build_template_pack, enroll_subject, fit,
+                            load_model, negatives, owner_features, save_model)
 from ecgauth.errors import ContractError, EnrollmentQualityError, FormatError
 from ecgauth.pipeline import TemplatePack
 from ecgauth.qrs import RecordBeats, record_beats
@@ -151,6 +152,38 @@ def test_owner_features_streams_through_the_pipeline_binding(entries3, monkeypat
     own = _own_entry(entries3)
     owner_features({own: record_beats(read_record(own.path))}, ["subj01"], PARAMS, map)
     assert streamed == [own.session_id]
+
+
+# -- training policy -------------------------------------------------------------
+
+def test_negatives_is_every_other_subjects_training_records():
+    entries = [ManifestEntry(subject, session, f"{subject}_{session}.csv", role)
+               for subject, session, role in [
+                   ("b", "s2", "population"), ("a", "s1", "enroll"), ("a", "s3", "population"),
+                   ("c", "s1", "enroll"), ("b", "s1", "enroll"), ("b", "s3", "test"),
+                   ("c", "s2", "intruder-pool"), ("a", "s2", "test"),
+                   ("d", "s1", "population"), ("c", "s0", "population")]]
+
+    def keys(negs):
+        return [(e.subject_id, e.session_id) for e in negs]
+
+    assert keys(negatives(entries, "a")) == [
+        ("b", "s1"), ("b", "s2"), ("c", "s0"), ("c", "s1"), ("d", "s1")]
+    assert keys(negatives(entries, "a", left_out="c")) == [("b", "s1"), ("b", "s2"), ("d", "s1")]
+    assert keys(negatives(entries, "b", left_out="a")) == [("c", "s0"), ("c", "s1"), ("d", "s1")]
+    with pytest.raises(ContractError, match="a: no population subjects besides d"):
+        negatives([e for e in entries if e.subject_id in ("a", "d")], "a", left_out="d")
+
+
+def test_enroll_subject_is_the_fit_with_nobody_left_out(entries3, model3):
+    negs = negatives(entries3, "subj01")
+    own = [e for e in entries3 if e.subject_id == "subj01" and e.role == "enroll"]
+    _, _, positives, batches = owner_features(
+        manifest_beats(own + negs, map), ["subj01"], PARAMS, map)["subj01"]
+    svm, n_negative = fit("subj01", positives, batches, negs)
+    assert n_negative == sum(batches[e].features.shape[0] for e in negs) > 0
+    for f in dataclasses.fields(svm):
+        assert np.array_equal(getattr(svm, f.name), getattr(model3[0].svm, f.name)), f.name
 
 
 # -- enrollment from a manifest ----------------------------------------------

@@ -256,7 +256,7 @@ def test_owners_whose_gates_accept_different_beats_get_two_batches(short3, monke
 def test_evaluation_timelines_count_prescreen_rejections(short3):
     beats, whole, gated = _gated_packs(short3)
     batches = pipeline.collect_features(beats, [whole, gated], PARAMS)
-    _, _, timelines = _replay(constant_margin_svm(PARAMS.m, 1.0), batches, PARAMS)
+    timelines = _replay(constant_margin_svm(PARAMS.m, 1.0), batches, PARAMS)
     assert [t.n_rejected for t in timelines] == [b.n_rejected for b in batches]
     assert timelines[1].n_rejected > 0
     for t in timelines:
@@ -383,6 +383,16 @@ def test_sweep_refuses_a_bad_cell_before_reading(entries3, monkeypatch):
     with pytest.raises(ContractError, match="t_avg must"):
         evaluate(entries3, PARAMS, ([float("inf")], [40]))
     assert not reads
+
+
+def test_cell_without_negative_records_refused_before_reading(short3, monkeypatch):
+    # without subj03's enroll record, owner subj01 tested against subj02 has
+    # no record left to train its negative class on
+    entries = [e for e in short3 if not (e.subject_id == "subj03" and e.role == "enroll")]
+    reads, detections = _count_reads_and_detections(monkeypatch)
+    with pytest.raises(ContractError, match="subj01: no population subjects besides subj02"):
+        leave_one_out(entries, PARAMS)
+    assert not reads and not detections
 
 
 # -- CSV artifacts ---------------------------------------------------------------

@@ -206,8 +206,8 @@ def test_zero_margin_is_negative_on_both_decision_paths():
     beats = RecordBeats(subject_id="unit", session_id="s1", fs=512, times=times,
                         windows=windows, detected=len(times), duration_s=45.0)
     [batch] = collect_features(beats, [model.pack], PARAMS)
-    n_pos, n_neg, [replayed] = _replay(model.svm, [batch], PARAMS)
-    assert (n_pos, n_neg) == (0, len(times))
+    [replayed] = _replay(model.svm, [batch], PARAMS)
+    assert (replayed.n_positive, replayed.n_negative) == (0, len(times))
     assert replayed.transitions == []
 
 
