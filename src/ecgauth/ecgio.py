@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -43,6 +44,7 @@ from .qrs import RecordBeats, record_beats
 ROLES = ("enroll", "test", "intruder-pool", "population")
 TRAIN_ROLES = ("enroll", "population")  # roles whose records train other subjects' models
 MANIFEST_HEADER = ("subject", "session", "path", "role")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the range of a sample
 
 
 @dataclass
@@ -66,6 +68,16 @@ class EcgRecord:
         for field_name, value in (("subject", self.subject_id), ("session", self.session_id)):
             if "\n" in value or "\r" in value:
                 raise ContractError(f"{field_name} id contains a line break")
+
+
+@contextmanager
+def _utf8_text(path):
+    """The file opened as UTF-8 text; FormatError on a byte that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
 
 
 def _header_value(line: str, key: str, lineno: int) -> str:
@@ -107,6 +119,8 @@ def _iter_rows(fh) -> Iterator[int]:
             adc = int(adc_text)
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer field in {text!r}") from None
+        if not _INT64_MIN <= adc <= _INT64_MAX:
+            raise ParseError(f"line {lineno}: ADC value {adc} outside the int64 range")
         if n != expected:
             raise ParseError(f"line {lineno}: sample index {n}, expected {expected}")
         expected += 1
@@ -115,7 +129,7 @@ def _iter_rows(fh) -> Iterator[int]:
 
 def read_record(path: str | os.PathLike) -> EcgRecord:
     """Parse one record file into an EcgRecord."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _utf8_text(path) as fh:
         fs, subject, session = _read_header(fh)
         samples = np.fromiter(_iter_rows(fh), dtype=np.int64)
     return EcgRecord(subject_id=subject, session_id=session, fs=fs, samples=samples)
@@ -152,7 +166,7 @@ def read_manifest(path: str | os.PathLike) -> list[ManifestEntry]:
     base = os.path.dirname(os.path.abspath(path))
     entries: list[ManifestEntry] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -199,17 +213,14 @@ def manifest_beats(entries, run_map) -> dict:
     return beats
 
 
-def write_manifest(rows: Iterable, path: str | os.PathLike) -> None:
-    """Write manifest rows, ManifestEntry or plain 4-tuples; paths as given."""
+def write_manifest(entries: Iterable[ManifestEntry], path: str | os.PathLike) -> None:
+    """Write ManifestEntry rows, paths as given (read_manifest resolves
+    relative ones against the manifest's directory); ContractError on a role
+    outside ROLES."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_HEADER)
-        for row in rows:
-            if isinstance(row, ManifestEntry):
-                subject, session, rel_path, role = (row.subject_id, row.session_id,
-                                                    row.path, row.role)
-            else:
-                subject, session, rel_path, role = row
-            if role not in ROLES:
-                raise ContractError(f"unknown role {role!r}")
-            writer.writerow((subject, session, rel_path, role))
+        for e in entries:
+            if e.role not in ROLES:
+                raise ContractError(f"unknown role {e.role!r}")
+            writer.writerow((e.subject_id, e.session_id, e.path, e.role))

@@ -16,14 +16,18 @@ reads only the records its owners train on, and reads, detects and streams
 each of them once for all owners; enroll_subject is enroll_owners for one
 owner.
 
-Model files are JSON with every float printed to 17 significant digits, so
-a load(save(m)) round-trip reproduces bit-identical predictions.
+Model files are JSON of format 2, written by the json module, and hold
+only what a decision reads: the template, the amplitude gate, the scaler
+(mu, sigma), the weights w, the bias b, the pipeline parameters, and the
+beat window (n_window, left) as a guard. Every float is written as its
+shortest round-trip repr, so load(save(m)) gives back every float bit for
+bit, -0.0 and subnormals included. Format-1 files still load: the SVM cost
+and class-weight keys they also carried were never read and are ignored.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from functools import partial
 
 import numpy as np
@@ -37,7 +41,7 @@ from .pipeline import PipelineParams, SubjectModel, TemplatePack
 from .qrs import LEFT, N_WINDOW, RecordBeats
 from .svm import LinearSvm, train_svm
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 MIN_ENROLL_BEATS = 30
 MIN_SURVIVOR_FRACTION = 0.5
 
@@ -207,57 +211,40 @@ def enroll_subject(entries, subject_id: str, params: PipelineParams):
 
 # -- model persistence ------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        raise ContractError("boolean fields are not part of the model format")
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ContractError("model contains a non-finite number")
-        return format(value, ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return _fmt(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    if isinstance(value, dict):
-        parts = (f"{json.dumps(k)}: {_fmt(v)}" for k, v in value.items())
-        return "{" + ", ".join(parts) + "}"
-    raise ContractError(f"cannot serialize {type(value).__name__}")
-
-
 def save_model(model: SubjectModel, path: str) -> None:
+    """Write a model file of format MODEL_FORMAT_VERSION; ContractError if
+    any number in it is not finite."""
+    params = model.params
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "subject_id": model.subject_id,
-        "fs": model.fs,
+        "fs": int(model.fs),
         "params": {
-            "t_avg": float(model.params.t_avg),
-            "m": model.params.m,
-            "r_min": float(model.params.r_min),
-            "t_v": float(model.params.t_v),
-            "n": model.params.n,
-            "beta": float(model.params.beta),
+            "t_avg": float(params.t_avg),
+            "m": int(params.m),
+            "r_min": float(params.r_min),
+            "t_v": float(params.t_v),
+            "n": int(params.n),
+            "beta": float(params.beta),
             "n_window": N_WINDOW,
             "left": LEFT,
         },
-        "template": np.asarray(model.pack.template, dtype=np.float64),
+        "template": np.asarray(model.pack.template, dtype=np.float64).tolist(),
         "amp_lo": float(model.pack.amp_lo),
         "amp_hi": float(model.pack.amp_hi),
         "svm": {
-            "mu": np.asarray(model.svm.mu, dtype=np.float64),
-            "sigma": np.asarray(model.svm.sigma, dtype=np.float64),
-            "w": np.asarray(model.svm.w, dtype=np.float64),
+            "mu": np.asarray(model.svm.mu, dtype=np.float64).tolist(),
+            "sigma": np.asarray(model.svm.sigma, dtype=np.float64).tolist(),
+            "w": np.asarray(model.svm.w, dtype=np.float64).tolist(),
             "b": float(model.svm.b),
-            "c": float(model.svm.c),
-            "class_weights": [float(model.svm.class_weights[0]),
-                              float(model.svm.class_weights[1])],
         },
     }
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError:
+        raise ContractError("model contains a non-finite number") from None
     with open(path, "w", newline="") as fh:
-        fh.write(_fmt(doc))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -270,14 +257,15 @@ def _finite(value, shape: tuple, name: str) -> np.ndarray:
 
 
 def load_model(path: str) -> SubjectModel:
-    """Read a model file; FormatError unless it holds a model of this format
-    that save_model could have written: an integer fs of at least 1, a
-    template of N_WINDOW samples, m entries in each of mu, sigma and w, every
-    number finite, and sigma positive."""
+    """Read a model file of format 1 or 2; FormatError unless it holds a
+    model that save_model could have written: a string subject_id, an integer
+    fs of at least 1, a template of N_WINDOW samples, m entries in each of
+    mu, sigma and w, every number finite, and sigma positive. Keys nothing
+    reads, such as format 1's SVM cost and class weights, are ignored."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+        if doc.get("format_version") not in (1, MODEL_FORMAT_VERSION):
             raise FormatError(f"{path}: unsupported model format "
                               f"{doc.get('format_version')!r}")
         p = doc["params"]
@@ -294,13 +282,12 @@ def load_model(path: str) -> SubjectModel:
         mu, sigma, w = (_finite(s[k], (params.m,), f"svm.{k}") for k in ("mu", "sigma", "w"))
         if not (sigma > 0.0).all():
             raise ValueError("svm.sigma must be positive")
-        svm = LinearSvm(mu=mu, sigma=sigma, w=w,
-                        b=float(_finite(s["b"], (), "svm.b")), c=float(s["c"]),
-                        class_weights=(float(s["class_weights"][0]),
-                                       float(s["class_weights"][1])))
+        svm = LinearSvm(mu=mu, sigma=sigma, w=w, b=float(_finite(s["b"], (), "svm.b")))
         amp_lo, amp_hi = (float(_finite(doc[k], (), k)) for k in ("amp_lo", "amp_hi"))
         pack = TemplatePack.build(_finite(doc["template"], (N_WINDOW,), "template"),
                                   amp_lo, amp_hi)
+        if not isinstance(doc["subject_id"], str):
+            raise ValueError(f"subject_id must be a string, got {doc['subject_id']!r}")
         return SubjectModel(doc["subject_id"], fs, pack, svm, params)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         # json.JSONDecodeError is a ValueError

@@ -56,11 +56,11 @@ class RPeak:
     time_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Beat:
-    """Fixed-length window of N_WINDOW float samples around an R-peak."""
+    """Fixed-length window of N_WINDOW float samples around an R-peak at
+    time t in seconds."""
 
-    r: RPeak
     window: np.ndarray
     t: float
 
@@ -314,18 +314,21 @@ def detect_beats(record) -> list[RPeak]:
 
 
 def segment_beat(record, r: RPeak) -> Beat:
-    """Cut the N_WINDOW-sample window around an R-peak.
+    """Cut the N_WINDOW-sample window around an R-peak, as a Beat at the
+    peak's time.
 
     Exactly LEFT samples precede the peak; window[LEFT] is the peak sample.
     Raises BoundaryError when the record does not extend far enough on
-    either side, in which case callers discard the beat.
+    either side, in which case callers discard the beat. record_beats cuts
+    every beat of a whole record through it; a live caller cuts each beat
+    once its window has arrived.
     """
     start = r.index - LEFT
     stop = r.index + (N_WINDOW - LEFT)
     if start < 0 or stop > len(record.samples):
         raise BoundaryError(f"window [{start}, {stop}) outside record of length {len(record.samples)}")
     window = np.asarray(record.samples[start:stop], dtype=np.float64)
-    return Beat(r=r, window=window, t=r.time_s)
+    return Beat(window=window, t=r.time_s)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,16 @@ The solver works on the dual with the bias handled through the equality
 constraint, picking the maximal-violating pair each step (ties resolved to
 the lowest index, which makes training fully deterministic). It stops when
 the primal-dual gap falls below 1e-6 * (1 + |primal|) or when a fixed step
-budget proportional to the training-set size runs out. Per-class cost
-multipliers n / (2 * n_class) balance unequal class sizes.
+budget of max(10000, 30 n) steps runs out. The per-class costs
+n / (2 * n_class) balance unequal class sizes.
 
 Features are standardized with training-set statistics; a feature with zero
 variance gets unit scale and therefore no influence on the margin.
+
+A trained LinearSvm holds only what a decision reads: the scaler (mu,
+sigma), the weights w and the bias b. A beat is accepted when its margin
+is strictly positive, so a margin of exactly 0 rejects; the callers test
+the sign themselves.
 """
 
 from __future__ import annotations
@@ -105,8 +110,6 @@ class LinearSvm:
     sigma: np.ndarray
     w: np.ndarray
     b: float
-    c: float
-    class_weights: tuple[float, float]
 
     def margin(self, d) -> float:
         v = (np.asarray(d, dtype=np.float64) - self.mu) / self.sigma
@@ -116,13 +119,8 @@ class LinearSvm:
         xs = (np.asarray(x, dtype=np.float64) - self.mu) / self.sigma
         return xs @ self.w + self.b
 
-    def predict(self, d) -> tuple[int, float]:
-        """Classify one feature vector; a margin of exactly 0 rejects."""
-        m = self.margin(d)
-        return (1 if m > 0.0 else 0), m
 
-
-def train_svm(x, y, c: float = 1.0, max_steps: int | None = None) -> tuple[LinearSvm, dict]:
+def train_svm(x, y) -> tuple[LinearSvm, dict]:
     """Fit a LinearSvm on rows of x with labels y in {-1, +1}.
 
     Returns the model and a diagnostics dict (steps, duality gap, class
@@ -147,14 +145,9 @@ def train_svm(x, y, c: float = 1.0, max_steps: int | None = None) -> tuple[Linea
     sigma = x.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
     xs = np.ascontiguousarray((x - mu) / sigma)
-    w_pos = n / (2.0 * n_pos)
-    w_neg = n / (2.0 * n_neg)
-    cvec = np.where(y > 0.0, c * w_pos, c * w_neg)
-    if max_steps is None:
-        max_steps = max(10000, 30 * n)
-    alpha, w, b, gap, steps = _smo(xs, y, cvec, max_steps, _GAP_RTOL)
-    model = LinearSvm(mu=mu, sigma=sigma, w=w, b=float(b), c=float(c),
-                      class_weights=(float(w_pos), float(w_neg)))
+    cvec = np.where(y > 0.0, n / (2.0 * n_pos), n / (2.0 * n_neg))
+    alpha, w, b, gap, steps = _smo(xs, y, cvec, max(10000, 30 * n), _GAP_RTOL)
+    model = LinearSvm(mu=mu, sigma=sigma, w=w, b=float(b))
     info = {"steps": int(steps), "gap": float(gap), "n_pos": n_pos,
             "n_neg": n_neg, "n_support": int(np.sum(alpha > 0.0))}
     return model, info

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ecgauth.pipeline import PipelineParams, SubjectModel, TemplatePack
-from ecgauth.qrs import LEFT, N_WINDOW, Beat, RPeak
+from ecgauth.qrs import LEFT, N_WINDOW, Beat
 from ecgauth.svm import LinearSvm
 
 
@@ -18,15 +18,13 @@ def beat_shape(r_amp: float = 1000.0) -> np.ndarray:
     return out
 
 
-def make_beat(window, t: float, fs: int = 512) -> Beat:
-    idx = int(round(t * fs))
-    return Beat(r=RPeak(index=idx, time_s=t), window=np.asarray(window, dtype=np.float64), t=t)
+def make_beat(window, t: float) -> Beat:
+    return Beat(window=np.asarray(window, dtype=np.float64), t=t)
 
 
 def constant_margin_svm(m: int, margin: float) -> LinearSvm:
     # w = 0 makes every input score exactly b, regardless of features
-    return LinearSvm(mu=np.zeros(m), sigma=np.ones(m), w=np.zeros(m),
-                     b=float(margin), c=1.0, class_weights=(1.0, 1.0))
+    return LinearSvm(mu=np.zeros(m), sigma=np.ones(m), w=np.zeros(m), b=float(margin))
 
 
 def tiny_model(template=None, amp_lo: float = -1e9, amp_hi: float = 1e9,

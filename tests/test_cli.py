@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ecgauth
 import ecgauth.ecgio as ecgio
 from ecgauth.cli import _parse_sweep, main
 from ecgauth.ecgio import EcgRecord, read_manifest, write_manifest, write_record
@@ -152,6 +156,7 @@ def _model_with(path, value):
     pytest.param(_model_with(["template"], lambda t: [float("inf")] + t[1:]),
                  id="infinite-template"),
     pytest.param(_model_with(["amp_lo"], float("-inf")), id="infinite-amp-lo"),
+    pytest.param(_model_with(["subject_id"], ["x"]), id="list-subject-id"),
 ])
 def test_verify_rejects_malformed_model(enrolled3, cohort3_dir, tmp_path, capsys, body):
     if callable(body):
@@ -165,6 +170,34 @@ def test_verify_rejects_malformed_model(enrolled3, cohort3_dir, tmp_path, capsys
                  "--out", str(tmp_path / "out")]) == 1
     assert "malformed model file" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_RECORD_HEAD = b"fs_hz,512\nsubject,s\nsession,a\nn,adc\n"
+
+
+@pytest.mark.parametrize("command, bad", [
+    pytest.param("verify", _RECORD_HEAD + b"0,1\n1,\xff2\n", id="record-not-utf8"),
+    pytest.param("verify", _RECORD_HEAD + b"0,1\n1,99999999999999999999999\n",
+                 id="record-beyond-int64"),
+    pytest.param("evaluate", b"subject,session,path,role\na,s1,a1.csv,enroll\xff\n",
+                 id="manifest-not-utf8"),
+])
+def test_malformed_text_input_is_an_error_not_a_traceback(enrolled3, tmp_path, command, bad):
+    path = tmp_path / "input.csv"
+    path.write_bytes(bad)
+    out = tmp_path / "out"
+    args = (["verify", "--model", str(enrolled3 / "models" / "subj01.json"), "--record"]
+            if command == "verify" else ["evaluate", "--manifest"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ecgauth.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-m", "ecgauth.cli", *args, str(path),
+                          "--out", str(out)], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:")
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
 
 
 # -- evaluate ------------------------------------------------------------------

@@ -66,11 +66,16 @@ def test_three_sample_record_has_three_data_rows(tmp_path):
     (lambda t: t.replace("2,3", "2,x"), ParseError),
     (lambda t: t.replace("2,3", "5,3"), ParseError),  # index gap
     (lambda t: t.replace("2,3", ""), ParseError),  # blank sample row
+    (lambda t: t.encode().replace(b"subject,s", b"subject,\xff"), FormatError),
+    (lambda t: t.encode().replace(b"2,3", b"2,\xff3"), FormatError),  # not UTF-8
+    (lambda t: t.replace("2,3", "2,99999999999999999999999").encode(), ParseError),
+    (lambda t: t.replace("2,3", "2,-9223372036854775809").encode(), ParseError),
 ])
 def test_malformed_files_are_rejected(tmp_path, mutate, err):
     good = "fs_hz,512\nsubject,s\nsession,a\nn,adc\n0,1\n1,-2\n2,3\n"
     path = tmp_path / "bad.csv"
-    path.write_text(mutate(good))
+    bad = mutate(good)
+    path.write_bytes(bad if isinstance(bad, bytes) else bad.encode())
     with pytest.raises(err):
         read_record(path)
 
@@ -79,6 +84,16 @@ def test_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("fs_hz,512\nsubject,s\nsession,a\nn,adc\n0,1\n1,oops\n")
     with pytest.raises(ParseError, match="line 6"):
+        read_record(path)
+
+
+def test_samples_span_exactly_the_int64_range(tmp_path):
+    path = tmp_path / "r.csv"
+    head = "fs_hz,512\nsubject,s\nsession,a\nn,adc\n"
+    path.write_text(head + "0,-9223372036854775808\n1,9223372036854775807\n")
+    assert read_record(path).samples.tolist() == [-2**63, 2**63 - 1]
+    path.write_text(head + "0,1\n1,9223372036854775808\n")
+    with pytest.raises(ParseError, match="line 6: .*int64"):
         read_record(path)
 
 
@@ -123,17 +138,9 @@ def test_manifest_round_trip_resolves_relative_paths(tmp_path):
         read_record(e.path)
 
 
-def test_write_manifest_accepts_plain_tuples(tmp_path):
-    _write_records(tmp_path, ["a1.csv"])
-    path = tmp_path / "manifest.csv"
-    write_manifest([("a", "s1", "a1.csv", "intruder-pool")], path)
-    entries = read_manifest(path)
-    assert entries[0].role == "intruder-pool"
-
-
 def test_write_manifest_rejects_unknown_role(tmp_path):
     with pytest.raises(ContractError):
-        write_manifest([("a", "s1", "a1.csv", "training")], tmp_path / "m.csv")
+        write_manifest([ManifestEntry("a", "s1", "a1.csv", "training")], tmp_path / "m.csv")
 
 
 def test_read_manifest_rejections(tmp_path):
@@ -146,9 +153,10 @@ def test_read_manifest_rejections(tmp_path):
         "dup": ("subject,session,path,role\n"
                 "a,s1,a1.csv,enroll\na,s1,a2.csv,test\n", ParseError),
         "missing": ("subject,session,path,role\na,s1,gone.csv,enroll\n", ParseError),
+        "not-utf8": (b"subject,session,path,role\na,s1,a1.csv,enroll\xff\n", FormatError),
     }
     for name, (text, err) in cases.items():
         path = tmp_path / f"{name}.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(err):
             read_manifest(path)

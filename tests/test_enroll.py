@@ -7,14 +7,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ecgauth.pipeline as pipeline
 from ecgauth.ecgio import EcgRecord, ManifestEntry, manifest_beats, read_record, write_record
 from ecgauth.enroll import (PipelineParams, build_template_pack, enroll_subject, fit,
                             load_model, negatives, owner_features, save_model)
 from ecgauth.errors import ContractError, EnrollmentQualityError, FormatError
-from ecgauth.pipeline import TemplatePack
-from ecgauth.qrs import RecordBeats, record_beats
+from ecgauth.pipeline import SubjectModel, TemplatePack
+from ecgauth.qrs import N_WINDOW, RecordBeats, record_beats
 from ecgauth.svm import LinearSvm
 from helpers import beat_shape, tiny_model
 
@@ -268,6 +271,100 @@ def test_model_round_trip_preserves_predictions(model3, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).reshape(-1).view(np.uint64)
+
+
+# -0.0, subnormals, and values whose shortest round-trip repr has 17 digits
+_SPECIAL = [-0.0, 5e-324, -2.2250738585072009e-308, 0.1 + 0.2, 1.0 / 3.0]
+
+
+def _finite_floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _vector(n, elements):
+    return arrays(np.float64, n - len(_SPECIAL), elements=elements).map(
+        lambda v: np.concatenate([_SPECIAL, v]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(template=_vector(N_WINDOW, _finite_floats(min_value=-1e100, max_value=1e100)),
+       mu=_vector(PARAMS.m, _finite_floats()),
+       sigma=arrays(np.float64, PARAMS.m, elements=_finite_floats(min_value=0.0,
+                                                                   exclude_min=True)),
+       w=_vector(PARAMS.m, _finite_floats()),
+       b=st.sampled_from(_SPECIAL) | _finite_floats(),
+       amps=st.lists(_finite_floats(), min_size=2, max_size=2, unique=True).map(sorted))
+def test_model_file_keeps_every_float_bit_for_bit(tmp_path_factory, template, mu,
+                                                  sigma, w, b, amps):
+    model = SubjectModel("subj", 512, TemplatePack.build(template, *amps),
+                         LinearSvm(mu=mu, sigma=sigma, w=w, b=b), PARAMS)
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(model, path)
+    back = load_model(path)
+    for name, saved, loaded in (
+            ("template", model.pack.template, back.pack.template),
+            ("amp_lo", model.pack.amp_lo, back.pack.amp_lo),
+            ("amp_hi", model.pack.amp_hi, back.pack.amp_hi),
+            ("mu", model.svm.mu, back.svm.mu), ("sigma", model.svm.sigma, back.svm.sigma),
+            ("w", model.svm.w, back.svm.w), ("b", model.svm.b, back.svm.b)):
+        assert np.array_equal(_bits(saved), _bits(loaded)), name
+    assert (back.subject_id, back.fs, back.params) == ("subj", 512, PARAMS)
+    again = path.with_name("again.json")
+    save_model(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_saved_keys_are_the_keys_load_model_reads(model3, tmp_path, monkeypatch):
+    class Recording(dict):
+        def __init__(self, pairs):
+            super().__init__(pairs)
+            self.read = set()
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+    loaded = []
+    json_load = json.load
+
+    def recording_load(fh):
+        loaded.append(json_load(fh, object_pairs_hook=Recording))
+        return loaded[-1]
+
+    monkeypatch.setattr(json, "load", recording_load)
+    path = tmp_path / "m.json"
+    save_model(model3[0], path)
+    load_model(path)
+    [doc] = loaded
+    nested = {key: dict.__getitem__(doc, key) for key in ("params", "svm")}
+    read = {"": set(doc.read), **{key: set(d.read) for key, d in nested.items()}}
+    assert read == {"": set(doc), **{key: set(d) for key, d in nested.items()}}
+    assert set(nested["svm"]) == {f.name for f in dataclasses.fields(LinearSvm)}
+
+
+def test_format_1_model_loads_to_the_same_margins(model3, tmp_path):
+    path = tmp_path / "m.json"
+    save_model(model3[0], path)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2
+    doc["format_version"] = 1
+    doc["svm"].update(c=1.0, class_weights=[1.5, 0.75])
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc))
+    new, v1 = load_model(path), load_model(old)
+    probe = np.random.default_rng(2).standard_normal((50, PARAMS.m))
+    assert np.array_equal(_bits(v1.svm.margins(probe)), _bits(new.svm.margins(probe)))
+    assert np.array_equal(_bits(v1.pack.template), _bits(new.pack.template))
+    assert (v1.pack.amp_lo, v1.pack.amp_hi, v1.params) == (
+        new.pack.amp_lo, new.pack.amp_hi, new.params)
+
+
 @pytest.mark.parametrize("key, value", [("n_window", 128), ("left", 77)])
 def test_load_model_rejects_other_beat_window(model3, tmp_path, key, value):
     path = tmp_path / "m.json"
@@ -284,22 +381,23 @@ def test_load_model_rejects_infinite_decision_window(model3, tmp_path):
     # json reads Infinity; a login under t_v = inf would never lock
     path = tmp_path / "m.json"
     save_model(model3[0], path)
-    path.write_text(path.read_text().replace('"t_v": 30,', '"t_v": Infinity,'))
-    assert json.loads(path.read_text())["params"]["t_v"] == float("inf")
+    doc = json.loads(path.read_text())
+    doc["params"]["t_v"] = float("inf")
+    path.write_text(json.dumps(doc))
+    assert '"t_v": Infinity' in path.read_text()
     with pytest.raises(ContractError, match="t_v"):
         load_model(path)
 
 
 def test_load_model_rejects_unknown_format(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text('{"format_version": 2}\n')
+    path.write_text('{"format_version": 3}\n')
     with pytest.raises(FormatError, match="format"):
         load_model(path)
 
 
 def test_save_model_rejects_non_finite(tmp_path):
-    svm = LinearSvm(mu=np.zeros(2), sigma=np.ones(2), w=np.zeros(2),
-                    b=float("nan"), c=1.0, class_weights=(1.0, 1.0))
+    svm = LinearSvm(mu=np.zeros(2), sigma=np.ones(2), w=np.zeros(2), b=float("nan"))
     model = tiny_model(svm=svm)
     with pytest.raises(ContractError, match="non-finite"):
         save_model(model, tmp_path / "m.json")

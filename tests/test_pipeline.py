@@ -193,8 +193,8 @@ def test_tick_backdates_expiry():
 
 
 def test_zero_margin_is_negative_on_both_decision_paths():
-    # LinearSvm.predict rejects a zero margin; neither the live path nor the
-    # evaluation replay calls predict, so each must reject it on its own
+    # the live path and the evaluation replay each test the margin's sign
+    # themselves, so each must reject a zero margin on its own
     model = tiny_model(svm=constant_margin_svm(PARAMS.m, 0.0))
     pipe = VerificationPipeline(model)
     times = np.arange(1.0, 41.0)

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from ecgauth.errors import ContractError
-from ecgauth.svm import LinearSvm, train_svm
+from ecgauth.svm import LinearSvm, _smo, train_svm
 
 
 # -- oracle -------------------------------------------------------------------
@@ -58,7 +58,7 @@ FOUR_Y = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
 def test_primal_objective_matches_qp_oracle():
-    model, info = train_svm(FOUR_X, FOUR_Y, c=1.0)
+    model, info = train_svm(FOUR_X, FOUR_Y)
     xs = (FOUR_X - model.mu) / model.sigma
     cvec = np.full(4, 1.0)  # both classes have 2 of 4 rows: weight n/(2*n_c) = 1
     p_impl = primal_objective(xs, FOUR_Y, cvec, model.w, model.b)
@@ -68,24 +68,25 @@ def test_primal_objective_matches_qp_oracle():
 
 
 def test_qp_oracle_agreement_on_random_instances():
+    # the solver itself at a cost below train_svm's balanced 1.0 per row
     rng = np.random.default_rng(12)
     for _ in range(5):
         x = rng.standard_normal((12, 3))
         y = np.where(np.arange(12) < 6, 1.0, -1.0)
         x[:6] += 2.5  # separated but with some slack activity at small c
-        model, _ = train_svm(x, y, c=0.5)
-        xs = (x - model.mu) / model.sigma
+        xs = (x - x.mean(axis=0)) / x.std(axis=0)
         cvec = np.full(12, 0.5)
-        p_impl = primal_objective(xs, y, cvec, model.w, model.b)
+        _, w, b, _, _ = _smo(xs, y, cvec, 10000, 1e-6)
+        p_impl = primal_objective(xs, y, cvec, w, b)
         _, _, p_oracle = dual_qp_oracle(xs, y, cvec)
         assert p_impl <= p_oracle + 1e-4  # never worse than the oracle's optimum
         assert abs(p_impl - p_oracle) <= 1e-3
 
 
 def test_two_point_symmetric_instance():
-    model, _ = train_svm(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), c=1.0)
-    assert model.predict([0.5]) == (1, pytest.approx(0.5))
-    assert model.predict([-0.5])[0] == 0
+    model, _ = train_svm(np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]))
+    assert model.margin([0.5]) == pytest.approx(0.5)
+    assert model.margin([-0.5]) <= 0.0
 
 
 def test_training_is_deterministic():
@@ -122,8 +123,7 @@ def test_minority_duplication_keeps_decisions():
     y_dup = np.concatenate([np.ones(16), -np.ones(16)])
     m2, _ = train_svm(x_dup, y_dup)
     # class weights rebalance, so safely-off-boundary points keep their label
-    for d in list(x_pos) + list(x_neg):
-        assert m1.predict(d)[0] == m2.predict(d)[0]
+    assert np.array_equal(m1.margins(x) > 0.0, m2.margins(x) > 0.0)
 
 
 def test_row_permutation_keeps_decision_function():
@@ -136,7 +136,7 @@ def test_row_permutation_keeps_decision_function():
     m2, _ = train_svm(x[perm], y[perm])
     probe = rng.standard_normal((40, 4))
     assert np.abs(m1.margins(probe) - m2.margins(probe)).max() < 1e-5
-    assert all(m1.predict(d)[0] == m2.predict(d)[0] for d in probe)
+    assert np.array_equal(m1.margins(probe) > 0.0, m2.margins(probe) > 0.0)
 
 
 def test_feature_permutation_commutes_with_training():
@@ -152,16 +152,16 @@ def test_feature_permutation_commutes_with_training():
 
 
 def test_margin_zero_rejects():
-    model = LinearSvm(mu=np.zeros(2), sigma=np.ones(2), w=np.array([1.0, 0.0]),
-                      b=-1.0, c=1.0, class_weights=(1.0, 1.0))
-    z, margin = model.predict([1.0, 5.0])
-    assert margin == 0.0 and z == 0
+    # a tie scores exactly 0.0 on both margin paths, so the callers' strict
+    # margin > 0.0 test rejects it
+    model = LinearSvm(mu=np.zeros(2), sigma=np.ones(2), w=np.array([1.0, 0.0]), b=-1.0)
+    assert model.margin([1.0, 5.0]) == 0.0
+    assert model.margins([[1.0, 5.0]])[0] == 0.0
 
 
 def test_identity_scaler_margin_is_raw_affine():
     model = LinearSvm(mu=np.zeros(3), sigma=np.ones(3),
-                      w=np.array([1.0, -2.0, 0.5]), b=0.25, c=1.0,
-                      class_weights=(1.0, 1.0))
+                      w=np.array([1.0, -2.0, 0.5]), b=0.25)
     d = np.array([2.0, 1.0, -4.0])
     assert model.margin(d) == pytest.approx(float(d @ model.w) + 0.25, abs=1e-12)
 
