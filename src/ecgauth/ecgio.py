@@ -12,6 +12,9 @@ Record container is a line-oriented UTF-8 CSV:
 
 Sample indices start at 0 and increase strictly by 1. ADC values are signed
 integers; downstream math promotes to floating point at segmentation time.
+Every integer must be written as str(int) writes it: no sign on a
+nonnegative value, no leading zero, no "-0", no digit separator and no
+surrounding space. So a record that loads writes back to the same bytes.
 
 A manifest is a CSV with header ``subject,session,path,role``. Paths are
 resolved relative to the manifest's own directory. The role says what a
@@ -98,6 +101,8 @@ def _read_header(fh) -> tuple[int, str, str]:
         raise FormatError(f"line 1: fs_hz value {fs_text!r} is not an integer") from None
     if fs <= 0:
         raise FormatError(f"line 1: fs_hz must be positive, got {fs}")
+    if fs_text != str(fs):
+        raise FormatError(f"line 1: fs_hz value {fs_text!r} is not written as {fs}")
     subject = _header_value(lines[1], "subject", 2)
     session = _header_value(lines[2], "session", 3)
     if lines[3].rstrip("\n") != "n,adc":
@@ -105,25 +110,39 @@ def _read_header(fh) -> tuple[int, str, str]:
     return fs, subject, session
 
 
+def _check_row(line: str, expected: int) -> None:
+    """ParseError naming the row's fault, unless it is the canonical row
+    of sample index expected that only lacks the file's final newline."""
+    lineno = expected + 5
+    text = line.rstrip("\n")
+    if text == "":
+        raise ParseError(f"line {lineno}: blank sample row")
+    n_text, sep, adc_text = text.partition(",")
+    if not sep:
+        raise ParseError(f"line {lineno}: expected '<n>,<adc>', got {text!r}")
+    try:
+        n = int(n_text)
+        adc = int(adc_text)
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer field in {text!r}") from None
+    if not _INT64_MIN <= adc <= _INT64_MAX:
+        raise ParseError(f"line {lineno}: ADC value {adc} outside the int64 range")
+    if n != expected:
+        raise ParseError(f"line {lineno}: sample index {n}, expected {expected}")
+    if text != f"{n},{adc}":
+        raise ParseError(f"line {lineno}: {text!r} is not written as '{n},{adc}'")
+
+
 def _iter_rows(fh) -> Iterator[int]:
-    expected = 0
-    for lineno, line in enumerate(fh, start=5):
-        text = line.rstrip("\n")
-        if text == "":
-            raise ParseError(f"line {lineno}: blank sample row")
-        n_text, sep, adc_text = text.partition(",")
-        if not sep:
-            raise ParseError(f"line {lineno}: expected '<n>,<adc>', got {text!r}")
+    # a row is accepted as is only when it equals the row write_record
+    # writes for its value; anything else goes to _check_row
+    for expected, line in enumerate(fh):
         try:
-            n = int(n_text)
-            adc = int(adc_text)
+            adc = int(line.partition(",")[2])
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer field in {text!r}") from None
-        if not _INT64_MIN <= adc <= _INT64_MAX:
-            raise ParseError(f"line {lineno}: ADC value {adc} outside the int64 range")
-        if n != expected:
-            raise ParseError(f"line {lineno}: sample index {n}, expected {expected}")
-        expected += 1
+            adc = None
+        if line != f"{expected},{adc}\n" or not _INT64_MIN <= adc <= _INT64_MAX:
+            _check_row(line, expected)
         yield adc
 
 

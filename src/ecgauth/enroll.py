@@ -257,17 +257,19 @@ def _finite(value, shape: tuple, name: str) -> np.ndarray:
 
 
 def load_model(path: str) -> SubjectModel:
-    """Read a model file of format 1 or 2; FormatError unless it holds a
-    model that save_model could have written: a string subject_id, an integer
-    fs of at least 1, a template of N_WINDOW samples, m entries in each of
-    mu, sigma and w, every number finite, and sigma positive. Keys nothing
-    reads, such as format 1's SVM cost and class weights, are ignored."""
+    """Read a model file of format 1 or 2, written as an integer; FormatError
+    unless it holds a model that save_model could have written: a string
+    subject_id, an integer fs of at least 1, a template of N_WINDOW samples,
+    m entries in each of mu, sigma and w, every number finite, and sigma
+    positive. Keys nothing reads, such as format 1's SVM cost and class
+    weights, are ignored."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        if doc.get("format_version") not in (1, MODEL_FORMAT_VERSION):
-            raise FormatError(f"{path}: unsupported model format "
-                              f"{doc.get('format_version')!r}")
+        version = doc.get("format_version")
+        # true, 1.0 and 2.0 compare equal to 1 or 2, and a bool is an int
+        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+            raise FormatError(f"{path}: unsupported model format {version!r}")
         p = doc["params"]
         if (p.get("n_window"), p.get("left")) != (N_WINDOW, LEFT):
             raise FormatError(f"{path}: model window n_window={p.get('n_window')!r}, "

@@ -11,12 +11,20 @@ running RR mean. All stage coefficients are recomputed from the sample rate.
 Every threshold is derived from running signal statistics, so scaling the
 input by any positive constant leaves the detected peak set unchanged.
 
+A detector keeps its state in standard containers: every raw sample in an
+array('d') (refinement reads around recent peaks only, but the buffer keeps
+them all), the newest 8 RR intervals and the newest 256 sub-threshold
+candidates in deque rings for search-back, and the last 600 ms of the
+integrated signal in a list ring for the half-height walks.
+
 record_beats is the one way to turn a whole record into beats: enrollment,
 verification and evaluation all take its RecordBeats.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,31 +117,15 @@ class QrsDetector:
         self._spk = 0.0
         self._npk = 0.0
         self._last_qrs = -1
-        self._rr_ring = [0] * _RR_RING
-        self._rr_count = 0
-        self._cand_idx = [0] * _CAND_RING
-        self._cand_val = [0.0] * _CAND_RING
-        self._cand_count = 0
+        self._rr: deque[int] = deque(maxlen=_RR_RING)
+        self._cands: deque[tuple[int, float]] = deque(maxlen=_CAND_RING)
         self._mwi_ring = [0.0] * (4 * w)
-        self._raw = np.empty(1 << 14, dtype=np.float64)
-        self._n_raw = 0
+        self._raw = array("d")
         self._pending_mwi: list[np.ndarray] = []
         self._n_pending = 0
         self._seeded = False
         self._scanned = 0
         self._last_emitted = -(1 << 60)
-
-    def _append_raw(self, chunk: np.ndarray) -> None:
-        need = self._n_raw + chunk.shape[0]
-        if need > self._raw.shape[0]:
-            cap = self._raw.shape[0]
-            while cap < need:
-                cap *= 2
-            grown = np.empty(cap, dtype=np.float64)
-            grown[: self._n_raw] = self._raw[: self._n_raw]
-            self._raw = grown
-        self._raw[self._n_raw : need] = chunk
-        self._n_raw = need
 
     def _filter_chain(self, chunk: np.ndarray) -> np.ndarray:
         y = chunk
@@ -143,34 +135,27 @@ class QrsDetector:
         y, self._zi_mwi = _fir(self._mwi_taps, y, self._zi_mwi)
         return y
 
-    def _seed(self, mwi_prefix: np.ndarray) -> None:
-        seg = mwi_prefix[: self._seed_n] if self._seed_n > 0 else mwi_prefix
-        if seg.shape[0] > 0:
-            self._spk = float(seg.max())
-            self._npk = float(seg.mean()) / 2.0
-        self._seeded = True
-
     def _scan(self, mwi: np.ndarray) -> list[int]:
         """Threshold-scan integrated samples; returns accepted peak indices.
 
         The loop runs once per sample, so it keeps the state in locals and
         works on Python floats and ints, which are cheaper to touch than
-        numpy scalars. _mwi_ring keeps recent samples for half-height walks.
+        numpy scalars. The list _mwi_ring keeps recent samples for
+        half-height walks, indexed modulo its length; the deque _rr keeps
+        the newest _RR_RING accepted RR intervals and the deque _cands the
+        newest _CAND_RING sub-threshold candidates as (index, height), both
+        oldest first.
         """
         v_max = self._v_max
         p_max = self._p_max
         spk = self._spk
         npk = self._npk
         last_qrs = self._last_qrs
-        rr_count = self._rr_count
-        cand_count = self._cand_count
-        rr_ring = self._rr_ring
-        cand_idx = self._cand_idx
-        cand_val = self._cand_val
+        rr = self._rr
+        cands = self._cands
         mwi_ring = self._mwi_ring
         refractory = self._refractory
         offset = self._scanned
-        cap = len(cand_idx)
         rcap = len(mwi_ring)
         out = []
         for local, y in enumerate(mwi.tolist()):
@@ -203,34 +188,19 @@ class QrsDetector:
                 continue
             if last_qrs >= 0 and m - last_qrs <= refractory:
                 continue
-            # running RR mean over the last few accepted intervals
-            if rr_count > 0:
-                k = rr_count if rr_count < _RR_RING else _RR_RING
-                s = 0.0
-                for t in range(k):
-                    s += rr_ring[t]
-                rrm = s / k
-            else:
-                rrm = float(self.fs)
+            # running RR mean over the newest accepted intervals
+            rrm = sum(rr) / len(rr) if rr else float(self.fs)
             if last_qrs >= 0 and m - last_qrs > _SEARCHBACK_RR_FACTOR * rrm:
-                thr = npk + 0.25 * (spk - npk)
-                half = 0.5 * thr
-                best_pos = -1
-                best_val = 0.0
-                start = cand_count - cap
-                if start < 0:
-                    start = 0
-                for t in range(start, cand_count):
-                    p = t % cap
-                    if cand_idx[p] > last_qrs + refractory and cand_val[p] > half:
-                        if best_pos < 0 or cand_val[p] > best_val:
-                            best_pos = p
-                            best_val = cand_val[p]
-                if best_pos >= 0:
-                    bi = cand_idx[best_pos]
-                    spk = 0.25 * best_val + 0.75 * spk
-                    rr_ring[rr_count % _RR_RING] = bi - last_qrs
-                    rr_count += 1
+                # the highest candidate past the refractory and above half
+                # the threshold; the earliest of equal ones
+                half = 0.5 * (npk + 0.25 * (spk - npk))
+                bi, bv = -1, 0.0
+                for ci, cv in cands:
+                    if ci > last_qrs + refractory and cv > half and (bi < 0 or cv > bv):
+                        bi, bv = ci, cv
+                if bi >= 0:
+                    spk = 0.25 * bv + 0.75 * spk
+                    rr.append(bi - last_qrs)
                     last_qrs = bi
                     out.append(bi)
                     if m - last_qrs <= refractory:
@@ -239,23 +209,17 @@ class QrsDetector:
             if v > thr:
                 spk = 0.125 * v + 0.875 * spk
                 if last_qrs >= 0:
-                    rr_ring[rr_count % _RR_RING] = m - last_qrs
-                    rr_count += 1
+                    rr.append(m - last_qrs)
                 last_qrs = m
                 out.append(m)
             else:
                 npk = 0.125 * v + 0.875 * npk
-                p = cand_count % cap
-                cand_idx[p] = m
-                cand_val[p] = v
-                cand_count += 1
+                cands.append((m, v))
         self._v_max = v_max
         self._p_max = p_max
         self._spk = spk
         self._npk = npk
         self._last_qrs = last_qrs
-        self._rr_count = rr_count
-        self._cand_count = cand_count
         self._scanned += mwi.shape[0]
         return out
 
@@ -264,7 +228,7 @@ class QrsDetector:
         for m in self._scan(mwi):
             center = int(round(m - self._delay))
             lo = max(0, center - self._refine)
-            hi = min(self._n_raw - 1, center + self._refine)
+            hi = min(len(self._raw) - 1, center + self._refine)
             if hi < lo:
                 continue
             refined = lo + int(np.argmax(self._raw[lo : hi + 1]))
@@ -275,33 +239,38 @@ class QrsDetector:
         return peaks
 
     def feed(self, samples) -> list[RPeak]:
-        chunk = np.asarray(samples, dtype=np.float64)
+        # C order: the raw buffer appends the chunk's memory as it lies
+        chunk = np.asarray(samples, dtype=np.float64, order="C")
         if chunk.ndim != 1:
             raise ContractError("detector accepts a 1-D sample chunk")
         if chunk.shape[0] == 0:
             return []
-        self._append_raw(chunk)
+        self._raw.frombytes(memoryview(chunk).cast("B"))
         mwi = self._filter_chain(chunk)
         if self._seeded:
             return self._run_scan(mwi)
         self._pending_mwi.append(mwi)
         self._n_pending += mwi.shape[0]
         if self._n_pending >= self._seed_n:
-            pending = np.concatenate(self._pending_mwi)
-            self._pending_mwi = []
-            self._n_pending = 0
-            self._seed(pending)
-            return self._run_scan(pending)
+            return self._seed_and_scan()
         return []
 
     def finish(self) -> list[RPeak]:
         """Flush a record shorter than the seeding window."""
         if self._seeded or self._n_pending == 0:
             return []
+        return self._seed_and_scan()
+
+    def _seed_and_scan(self) -> list[RPeak]:
+        """Seed the thresholds from the first _SEED_S of the pending
+        integrated samples (all of them in a shorter record), then scan
+        them all."""
         pending = np.concatenate(self._pending_mwi)
         self._pending_mwi = []
-        self._n_pending = 0
-        self._seed(pending)
+        seed = pending[: self._seed_n]
+        self._spk = float(seed.max())
+        self._npk = float(seed.mean()) / 2.0
+        self._seeded = True
         return self._run_scan(pending)
 
 

@@ -70,6 +70,19 @@ def test_three_sample_record_has_three_data_rows(tmp_path):
     (lambda t: t.encode().replace(b"2,3", b"2,\xff3"), FormatError),  # not UTF-8
     (lambda t: t.replace("2,3", "2,99999999999999999999999").encode(), ParseError),
     (lambda t: t.replace("2,3", "2,-9223372036854775809").encode(), ParseError),
+    # integers not written as str(int) writes them
+    (lambda t: t.replace("fs_hz,512", "fs_hz,+512"), FormatError),
+    (lambda t: t.replace("fs_hz,512", "fs_hz,0512"), FormatError),
+    (lambda t: t.replace("fs_hz,512", "fs_hz,5_12"), FormatError),
+    (lambda t: t.replace("\n", "\r\n"), FormatError),
+    (lambda t: t.replace("0,1\n", "0,1_000\n"), ParseError),
+    (lambda t: t.replace("1,-2", "+1, 7"), ParseError),
+    (lambda t: t.replace("1,-2", "01,-2"), ParseError),
+    (lambda t: t.replace("2,3", "2,007"), ParseError),
+    (lambda t: t.replace("2,3", "2,-0"), ParseError),
+    (lambda t: t.replace("2,3", "2,3 "), ParseError),
+    (lambda t: t.replace("2,3", "2,\u0663"), ParseError),  # ARABIC-INDIC DIGIT THREE
+    (lambda t: t.replace("2,3\n", "2,3\r\n"), ParseError),
 ])
 def test_malformed_files_are_rejected(tmp_path, mutate, err):
     good = "fs_hz,512\nsubject,s\nsession,a\nn,adc\n0,1\n1,-2\n2,3\n"
@@ -82,9 +95,18 @@ def test_malformed_files_are_rejected(tmp_path, mutate, err):
 
 def test_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("fs_hz,512\nsubject,s\nsession,a\nn,adc\n0,1\n1,oops\n")
-    with pytest.raises(ParseError, match="line 6"):
-        read_record(path)
+    head = "fs_hz,512\nsubject,s\nsession,a\nn,adc\n0,1\n"
+    # "1,oops" is not an integer; the others are, but not as str(int) writes them
+    for row in ("1,oops", "+1, 7", "1,1_000", "1,007", "1,-0"):
+        path.write_text(head + row + "\n")
+        with pytest.raises(ParseError, match="line 6"):
+            read_record(path)
+
+
+def test_missing_final_newline_is_accepted(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("fs_hz,512\nsubject,s\nsession,a\nn,adc\n0,1\n1,-2")
+    assert read_record(path).samples.tolist() == [1, -2]
 
 
 def test_samples_span_exactly_the_int64_range(tmp_path):

@@ -389,11 +389,17 @@ def test_load_model_rejects_infinite_decision_window(model3, tmp_path):
         load_model(path)
 
 
-def test_load_model_rejects_unknown_format(tmp_path):
+def test_load_model_rejects_unknown_format(model3, tmp_path):
+    # a whole model, so only the version can be refused; true, 1.0 and 2.0
+    # compare equal to 1 or 2 but are not what save_model writes
     path = tmp_path / "m.json"
-    path.write_text('{"format_version": 3}\n')
-    with pytest.raises(FormatError, match="format"):
-        load_model(path)
+    save_model(model3[0], path)
+    doc = json.loads(path.read_text())
+    for version in (3, 0, True, 1.0, 2.0, "2", None):
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="unsupported model format"):
+            load_model(path)
 
 
 def test_save_model_rejects_non_finite(tmp_path):

@@ -7,6 +7,7 @@ exact by construction; the detector never sees them.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,11 +17,12 @@ import pytest
 from scipy.signal import lfilter
 
 import ecgauth
-from ecgauth.ecgio import EcgRecord, read_record
+from ecgauth import qrs
+from ecgauth.ecgio import EcgRecord, read_manifest, read_record
 from ecgauth.errors import BoundaryError, ContractError
 from ecgauth.qrs import (LEFT, N_WINDOW, QrsDetector, RPeak, _fir, detect_beats,
                          record_beats, segment_beat)
-from ecgauth.synth import SubjectMorphology, generate_record
+from ecgauth.synth import SubjectMorphology, default_cohort, generate_record
 from helpers import match_peaks
 
 FS = 512
@@ -34,6 +36,19 @@ MORPH = SubjectMorphology(
 
 def _peak_indices(record):
     return [p.index for p in detect_beats(record)]
+
+
+def _chunked_indices(samples, chunk):
+    det = QrsDetector(FS)
+    peaks = []
+    for start in range(0, len(samples), chunk):
+        peaks.extend(det.feed(samples[start : start + chunk]))
+    peaks.extend(det.finish())
+    return [p.index for p in peaks]
+
+
+def _sha256(indices):
+    return hashlib.sha256(np.asarray(indices, dtype=np.int64).tobytes()).hexdigest()
 
 
 def test_detector_finds_truth_peaks_under_noise():
@@ -64,12 +79,11 @@ def test_chunked_feeding_matches_whole_record():
     record, _ = generate_record(MORPH, 20.0, FS)
     whole = _peak_indices(record)
     for chunk in (1, 7, 997):
-        det = QrsDetector(FS)
-        peaks = []
-        for start in range(0, len(record.samples), chunk):
-            peaks.extend(det.feed(record.samples[start : start + chunk]))
-        peaks.extend(det.finish())
-        assert [p.index for p in peaks] == whole
+        assert _chunked_indices(record.samples, chunk) == whole
+    # other input layouts: a strided view and big-endian floats
+    x = record.samples.astype(np.float64)
+    for layout in (np.repeat(x, 2)[::2], x.astype(">f8")):
+        assert _chunked_indices(layout, 64) == whole
 
 
 def test_fir_matches_lfilter_on_detector_taps():
@@ -216,3 +230,119 @@ def test_record_beats_of_a_beatless_record():
     assert got.detected == 0
     assert got.times.shape == (0,) and got.windows.shape == (0, N_WINDOW)
     assert got.duration_s == 5.0
+
+
+# -- search-back ------------------------------------------------------------
+#
+# The scan tests drive _scan with integrated signals of one-sample spikes on
+# zeros: each spike closes its own excursion on the next sample, so it is a
+# candidate at its own index with its own height. The thresholds start at
+# spk 1000 and npk 0, so a spike of 1000 is a beat and one of 200 is noise.
+
+def _scan(spikes: dict) -> list[int]:
+    det = QrsDetector(FS)
+    det._spk, det._npk = 1000.0, 0.0
+    y = np.zeros(max(spikes) + 2)
+    for i, height in spikes.items():
+        y[i] = height
+    return det._scan(y)
+
+
+def test_searchback_rr_mean_covers_the_newest_eight_intervals():
+    # intervals 1500, 600, then seven of 200: the newest eight average 250
+    # samples, so search-back fires past 1.66 * 250 = 415 samples; the
+    # newest seven (200) would fire past 332, the newest nine (389) past 646
+    beats = np.cumsum([100, 1500, 600] + [200] * 7).tolist()
+    last = beats[-1]
+    for gap, searched in ((400, False), (450, True)):
+        spikes = dict.fromkeys(beats, 1000.0)
+        spikes[last + 150] = 200.0
+        spikes[last + gap] = 1000.0
+        picked = [last + 150] if searched else []
+        assert _scan(spikes) == beats + picked + [last + gap]
+
+
+def test_searchback_sees_the_newest_256_candidates():
+    # 257 noise candidates after one beat; the oldest is the largest and the
+    # second oldest the next largest, and the rest are too small to be
+    # eligible. The ring keeps the newest 256, so the second oldest is picked
+    det = QrsDetector(FS)
+    first = 100 + det._refractory + 1
+    cands = [first + 2 * k for k in range(257)]
+    spikes = {100: 1000.0, **dict.fromkeys(cands, 10.0), 1000: 1000.0}
+    spikes[cands[0]] = 240.0
+    spikes[cands[1]] = 230.0
+    assert _scan(spikes) == [100, cands[1], 1000]
+
+
+def test_searchback_picks_the_earliest_of_equal_candidates():
+    assert _scan({100: 1000.0, 300: 200.0, 500: 200.0, 1000: 1000.0}) == [100, 300, 1000]
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_searchback_skips_candidates_inside_the_refractory(offset):
+    # the first search-back (at 1000) picks 250; the second (at 1200) may
+    # pick only a candidate more than one refractory period past 250
+    refractory = QrsDetector(FS)._refractory
+    edge = 250 + refractory + offset
+    spikes = {100: 1000.0, 250: 200.0, edge: 190.0, edge + 5: 160.0,
+              1000: 100.0, 1200: 1000.0}
+    second = edge if offset else edge + 5
+    assert _scan(spikes) == [100, 250, second, 1200]
+
+
+def _attenuated_record():
+    """60 s of a cohort record with every 7th QRS (+-60 ms) at 40% of its
+    deviation from the median, so the detector must search back for them."""
+    session = default_cohort(2, seed=0)[0].sessions[0]
+    n = 60 * FS
+    x = session.record.samples[:n].astype(np.float64)
+    med = np.median(x)
+    w = round(0.06 * FS)
+    for r in [t for t in session.truth if t < n][3::7]:
+        x[r - w : r + w + 1] = med + 0.4 * (x[r - w : r + w + 1] - med)
+    return np.rint(x).astype(np.int64)
+
+
+def _pause_record():
+    """15 s of beats, a 45 s near-flat pause, then 30 s of beats at 40%."""
+    record, _ = generate_record(MORPH, 90.0, FS)
+    x = record.samples.astype(np.float64)
+    med = np.median(x)
+    a, b = 15 * FS, 60 * FS
+    x[a:b] = med + np.random.default_rng(5).normal(0.0, 1.0, b - a)
+    x[b:] = med + 0.4 * (x[b:] - med)
+    return np.rint(x).astype(np.int64)
+
+
+@pytest.mark.parametrize("make, count, digest, without", [
+    (_attenuated_record, 75,
+     "308e41814de4afa0361de4b88afc9486dc7dad0ee431f3450b1feec0331db3b2", 64),
+    (_pause_record, 25,
+     "ecb5e2a8d2fc31c95bae61d50981de72ada1d166e957e804f2e1115aa4725386", 16),
+], ids=["attenuated", "pause"])
+def test_searchback_records_keep_their_peaks(monkeypatch, make, count, digest, without):
+    x = make()
+    whole = _chunked_indices(x, len(x))
+    assert (len(whole), _sha256(whole)) == (count, digest)
+    for chunk in (1, 64, 997):
+        assert _chunked_indices(x, chunk) == whole
+    # the pinned peaks include search-back picks: without it fewer are found
+    monkeypatch.setattr(qrs, "_SEARCHBACK_RR_FACTOR", float("inf"))
+    assert len(_chunked_indices(x, len(x))) == without
+
+
+def test_cohort_peaks_are_pinned(cohort3_dir):
+    """The detector's peaks over the 3-subject seed-7 cohort, by SHA-256 of
+    the int64 indices in (subject, session) order, whole and in 64-sample
+    packets. Search-back picks no peak in these records; the tests above pin it."""
+    entries = sorted(read_manifest(cohort3_dir / "manifest.csv"),
+                     key=lambda e: (e.subject_id, e.session_id))
+    whole, packets = [], []
+    for e in entries:
+        samples = read_record(e.path).samples
+        whole += _chunked_indices(samples, len(samples))
+        packets += _chunked_indices(samples, 64)
+    assert len(whole) == 3885
+    assert _sha256(whole) == "a31fd3315f870f9875a29b879e8b4e7b72fbfb5e51f03f47c1ad3978f6ff2e81"
+    assert packets == whole
