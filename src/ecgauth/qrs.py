@@ -11,11 +11,19 @@ running RR mean. All stage coefficients are recomputed from the sample rate.
 Every threshold is derived from running signal statistics, so scaling the
 input by any positive constant leaves the detected peak set unchanged.
 
-A detector keeps its state in standard containers: every raw sample in an
-array('d') (refinement reads around recent peaks only, but the buffer keeps
-them all), the newest 8 RR intervals and the newest 256 sub-threshold
-candidates in deque rings for search-back, and the last 600 ms of the
-integrated signal in a list ring for the half-height walks.
+A detector holds a few seconds of state however long the stream runs. It
+filters and scans its input _BLOCK samples at a time, so a whole record
+passed as one chunk costs no more than a block of it. It keeps in standard
+containers the newest 8 RR intervals and the newest 256 sub-threshold
+candidates in deque rings for search-back, the last 600 ms of the integrated
+signal in a list ring for the half-height walks, and a tail of the raw
+samples in an array('d') for the +-25 ms peak refinement. The tail starts
+where the earliest refinement a later peak can make starts: 600 ms of the
+integrated signal plus the chain's group delay back, or at the apex of an
+excursion that has not yet fallen below half its height, so one excursion
+that never falls keeps its samples until it falls. A search-back may still
+pick an older candidate, so each cut first refines every candidate it
+may still pick and keeps its peak.
 
 record_beats is the one way to turn a whole record into beats: enrollment,
 verification and evaluation all take its RecordBeats.
@@ -23,6 +31,7 @@ verification and evaluation all take its RecordBeats.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -40,6 +49,9 @@ _SEED_S = 2.0
 _REFINE_S = 0.025
 _RR_RING = 8
 _CAND_RING = 256
+# feed filters and scans this many samples at a time, so its temporaries stay
+# a few hundred kB whatever the chunk size
+_BLOCK = 4096
 
 
 def _fir(taps: np.ndarray, x: np.ndarray, state: np.ndarray):
@@ -80,6 +92,12 @@ class QrsDetector:
     finalized so far. Call finish() after the last chunk (it matters for
     records shorter than the 2 s threshold-seeding window). Instances are
     independent; one instance must not be fed concurrently.
+
+    feed works through a chunk _BLOCK samples at a time; for integer-valued
+    samples every split gives the same peaks. _raw holds the raw samples
+    from index _raw_start on: under 3 * _BLOCK samples plus 600 ms, the
+    group delay and the refinement half-width, except across one excursion
+    that has not fallen below half its apex (see _trim).
     """
 
     def __init__(self, fs: int):
@@ -121,6 +139,10 @@ class QrsDetector:
         self._cands: deque[tuple[int, float]] = deque(maxlen=_CAND_RING)
         self._mwi_ring = [0.0] * (4 * w)
         self._raw = array("d")
+        self._raw_start = 0
+        # refined peaks of the candidates a search-back may still pick, as
+        # of the last cut of _raw
+        self._cand_peaks: dict[int, int | None] = {}
         self._pending_mwi: list[np.ndarray] = []
         self._n_pending = 0
         self._seeded = False
@@ -177,10 +199,9 @@ class QrsDetector:
                 i = p_max
                 while i - 1 >= floor_idx and mwi_ring[(i - 1) % rcap] >= half:
                     i -= 1
-                j = p_max
-                while j + 1 <= n_abs and mwi_ring[(j + 1) % rcap] >= half:
-                    j += 1
-                m = (i + j) // 2
+                # every sample since the apex held at least half of it, or
+                # an earlier one would have ended the excursion
+                m = (i + n_abs - 1) // 2
                 v = v_max
                 v_max = y
                 p_max = n_abs
@@ -223,30 +244,68 @@ class QrsDetector:
         self._scanned += mwi.shape[0]
         return out
 
+    def _refine_peak(self, m: int) -> int | None:
+        """The raw-signal maximum within +-25 ms of integrated-signal index
+        m mapped back by the group delay; None when that window lies before
+        the record. A candidate refined before a cut keeps that peak."""
+        if m in self._cand_peaks:
+            return self._cand_peaks[m]
+        center = int(round(m - self._delay))
+        lo = max(0, center - self._refine)
+        hi = min(self._raw_start + len(self._raw) - 1, center + self._refine)
+        if hi < lo:
+            return None
+        s = self._raw_start
+        return lo + int(np.argmax(self._raw[lo - s : hi + 1 - s]))
+
     def _run_scan(self, mwi: np.ndarray) -> list[RPeak]:
         peaks = []
         for m in self._scan(mwi):
-            center = int(round(m - self._delay))
-            lo = max(0, center - self._refine)
-            hi = min(len(self._raw) - 1, center + self._refine)
-            if hi < lo:
-                continue
-            refined = lo + int(np.argmax(self._raw[lo : hi + 1]))
-            if refined - self._last_emitted < self._refractory:
+            refined = self._refine_peak(m)
+            if refined is None or refined - self._last_emitted < self._refractory:
                 continue
             self._last_emitted = refined
             peaks.append(RPeak(index=refined, time_s=refined / self.fs))
+        self._trim()
         return peaks
 
+    def _trim(self) -> None:
+        """Drop the raw samples no later refinement can read, once they
+        pass two blocks.
+
+        A later excursion's half-height span starts no earlier than 600 ms
+        (the ring) before the next sample, or than the current apex if that
+        is older, and its peak lies inside the span, so its refinement
+        window starts no earlier than that index less the group delay and
+        the refinement half-width.
+        """
+        lo = self._scanned - len(self._mwi_ring) + 1
+        if self._v_max > 0.0 and self._p_max < lo:
+            lo = self._p_max
+        start = math.floor(lo - self._delay) - self._refine
+        if start - self._raw_start < 2 * _BLOCK:
+            return
+        # a search-back may still pick a candidate past the last beat's
+        # refractory; its window is whole until the first cut after it
+        live = self._last_qrs + self._refractory
+        self._cand_peaks = {ci: self._refine_peak(ci) for ci, _ in self._cands if ci > live}
+        del self._raw[: start - self._raw_start]
+        self._raw_start = start
+
     def feed(self, samples) -> list[RPeak]:
-        # C order: the raw buffer appends the chunk's memory as it lies
-        chunk = np.asarray(samples, dtype=np.float64, order="C")
+        chunk = np.asarray(samples)
         if chunk.ndim != 1:
             raise ContractError("detector accepts a 1-D sample chunk")
-        if chunk.shape[0] == 0:
-            return []
-        self._raw.frombytes(memoryview(chunk).cast("B"))
-        mwi = self._filter_chain(chunk)
+        peaks = []
+        for lo in range(0, chunk.shape[0], _BLOCK):
+            # C order: the raw buffer appends the block's memory as it lies
+            block = np.asarray(chunk[lo : lo + _BLOCK], dtype=np.float64, order="C")
+            peaks += self._feed_block(block)
+        return peaks
+
+    def _feed_block(self, block: np.ndarray) -> list[RPeak]:
+        self._raw.frombytes(memoryview(block).cast("B"))
+        mwi = self._filter_chain(block)
         if self._seeded:
             return self._run_scan(mwi)
         self._pending_mwi.append(mwi)
@@ -323,18 +382,18 @@ def record_beats(record) -> RecordBeats:
     # detect_beats and segment_beat are looked up in this module's globals
     # at call time, so a caller that rebinds them here (a tracer) sees calls
     peaks = detect_beats(record)
-    times = []
-    windows = []
+    times = np.empty(len(peaks), dtype=np.float64)
+    windows = np.empty((len(peaks), N_WINDOW), dtype=np.float64)
+    k = 0
     for r in peaks:
         try:
             beat = segment_beat(record, r)
         except BoundaryError:
             continue
-        times.append(beat.t)
-        windows.append(beat.window)
+        times[k] = beat.t
+        windows[k] = beat.window
+        k += 1
     return RecordBeats(
         subject_id=record.subject_id, session_id=record.session_id,
-        fs=record.fs, times=np.asarray(times, dtype=np.float64),
-        windows=(np.stack(windows) if windows
-                 else np.empty((0, N_WINDOW), dtype=np.float64)),
+        fs=record.fs, times=times[:k], windows=windows[:k],
         detected=len(peaks), duration_s=len(record.samples) / record.fs)

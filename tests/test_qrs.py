@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,12 +80,16 @@ def test_detection_is_deterministic():
 def test_chunked_feeding_matches_whole_record():
     record, _ = generate_record(MORPH, 20.0, FS)
     whole = _peak_indices(record)
-    for chunk in (1, 7, 997):
+    # feed works in blocks of _BLOCK samples: chunks either side of a block
+    for chunk in (1, 7, 997, 4095, 4096, 4097, 10000):
         assert _chunked_indices(record.samples, chunk) == whole
-    # other input layouts: a strided view and big-endian floats
+    # other input layouts, in packets and as one chunk of several blocks:
+    # a strided view and big-endian floats
     x = record.samples.astype(np.float64)
+    assert len(x) > 2 * qrs._BLOCK
     for layout in (np.repeat(x, 2)[::2], x.astype(">f8")):
         assert _chunked_indices(layout, 64) == whole
+        assert _chunked_indices(layout, len(layout)) == whole
 
 
 def test_fir_matches_lfilter_on_detector_taps():
@@ -291,6 +297,16 @@ def test_searchback_skips_candidates_inside_the_refractory(offset):
     assert _scan(spikes) == [100, 250, second, 1200]
 
 
+def test_half_height_span_of_an_excursion_longer_than_the_ring():
+    # an apex of 1000 at 100, then 600 until 501: the excursion ends at 501,
+    # so its half-height span is [100, 500] and its candidate sits at 300,
+    # although the ring (600 ms) holds none of the span's start any more
+    assert len(QrsDetector(FS)._mwi_ring) < 400
+    assert _scan({100: 1000.0, **dict.fromkeys(range(101, 501), 600.0)}) == [300]
+    # inside the ring the span is the same walk: [100, 300] centers on 200
+    assert _scan({100: 1000.0, **dict.fromkeys(range(101, 301), 600.0)}) == [200]
+
+
 def _attenuated_record():
     """60 s of a cohort record with every 7th QRS (+-60 ms) at 40% of its
     deviation from the median, so the detector must search back for them."""
@@ -346,3 +362,78 @@ def test_cohort_peaks_are_pinned(cohort3_dir):
     assert len(whole) == 3885
     assert _sha256(whole) == "a31fd3315f870f9875a29b879e8b4e7b72fbfb5e51f03f47c1ad3978f6ff2e81"
     assert packets == whole
+
+
+# -- bounded memory -----------------------------------------------------------
+#
+# The detector keeps a raw tail, not the stream: after every feed it holds
+# fewer raw samples than three blocks, the 600 ms ring, the group delay and
+# the refinement half-width, whatever has been fed.
+
+def _raw_bound(det: QrsDetector) -> int:
+    return 3 * qrs._BLOCK + len(det._mwi_ring) + math.ceil(det._delay) + det._refine
+
+
+def _feed_bounded(det: QrsDetector, x: np.ndarray, chunk: int) -> list[int]:
+    bound = _raw_bound(det)
+    peaks = []
+    for start in range(0, len(x), chunk):
+        peaks += [p.index for p in det.feed(x[start : start + chunk])]
+        assert len(det._raw) < bound
+    return peaks
+
+
+def _hour_record(cohort3_dir):
+    record = read_record(cohort3_dir / "records" / "subj01_s1.csv")
+    return dataclasses.replace(record, samples=np.tile(record.samples, 6))
+
+
+def test_raw_tail_stays_bounded_over_an_hour_of_packets(cohort3_dir):
+    record = _hour_record(cohort3_dir)
+    det = QrsDetector(FS)
+    peaks = _feed_bounded(det, record.samples, 64)
+    assert peaks + [p.index for p in det.finish()] == _peak_indices(record)
+
+
+@pytest.mark.parametrize("quiet", ["zeros", "noise"])
+def test_raw_tail_stays_bounded_over_two_quiet_hours(quiet):
+    # beats leave search-back candidates eligible; two hours of exact zeros
+    # bring nothing new, and noise brings only noise candidates
+    record, _ = generate_record(MORPH, 15.0, FS)
+    n = 2 * 3600 * FS
+    tail = (np.zeros(n, dtype=np.int64) if quiet == "zeros" else
+            np.rint(np.random.default_rng(4).normal(0.0, 1.0, n)).astype(np.int64))
+    det = QrsDetector(FS)
+    peaks = _feed_bounded(det, record.samples, 4097)
+    assert peaks and det._cands
+    _feed_bounded(det, tail, 4097)
+    if quiet == "zeros":
+        # candidates still eligible had their peaks refined before the cut
+        assert det._cand_peaks
+
+
+def test_an_excursion_longer_than_the_tail_keeps_its_samples(monkeypatch):
+    # a 17 Hz sine integrates to a level that never falls below half its
+    # apex: one excursion lasting 60 s, far longer than the raw tail
+    record, _ = generate_record(MORPH, 40.0, FS)
+    t = np.arange(60 * FS) / FS
+    burst = np.rint(300.0 * np.sin(2.0 * np.pi * 17.0 * t)).astype(np.int64)
+    x = np.concatenate([record.samples[: 20 * FS], burst, record.samples[20 * FS :]])
+    got = [_chunked_indices(x, chunk) for chunk in (64, len(x))]
+    # the reference filters and scans the record as one block and never cuts
+    monkeypatch.setattr(qrs, "_BLOCK", len(x))
+    assert got == [_chunked_indices(x, len(x))] * 2
+
+
+def test_record_beats_peak_memory_is_its_windows(cohort3_dir):
+    # a raw buffer of the whole stream (14 MB here) or whole-record filter
+    # temporaries would break the bound; the windows are the output
+    record = _hour_record(cohort3_dir)
+    tracemalloc.start()
+    try:
+        got = record_beats(record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.windows.shape[0] > 3000
+    assert peak < 2 * got.windows.nbytes + 4 * 2**20
