@@ -305,16 +305,15 @@ class FeatureBatch:
 
     times: np.ndarray
     features: np.ndarray
-    contributing: np.ndarray
     beats_detected: int
     n_rejected: int
     duration_s: float
 
 
 def _accepted_features(times: np.ndarray, windows: np.ndarray, params: PipelineParams,
-                       dct: DctMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Features and contributing counts of beats that all pass the prescreen,
-    bit for bit as FeatureStream computes them beat by beat."""
+                       dct: DctMatrix) -> np.ndarray:
+    """Features of beats that all pass the prescreen, bit for bit as
+    FeatureStream computes them beat by beat."""
     # each buffer opens where FeatureStream's FIFO would, by the same float test
     starts = []
     s = 0
@@ -323,14 +322,12 @@ def _accepted_features(times: np.ndarray, windows: np.ndarray, params: PipelineP
         while s < k and t - seq[s] > params.t_avg:
             s += 1
         starts.append(s)
-    stops = list(range(1, len(seq) + 1))
-    ranks = batched_cluster_ranks(windows, starts, stops)
+    ranks = batched_cluster_ranks(windows, starts, range(1, len(seq) + 1))
     features = np.empty((len(seq), params.m))
     for k, (s, r) in enumerate(zip(starts, ranks)):
         weights = kaiser_weights(r.shape[0], params.beta)[r - 1]
         features[k] = dct_features(weighted_average(windows[s:k + 1], weights), dct)
-    contributing = np.asarray(stops, dtype=np.int64) - np.asarray(starts, dtype=np.int64)
-    return features, contributing
+    return features
 
 
 def collect_features(beats: RecordBeats, packs, params: PipelineParams) -> list[FeatureBatch]:
@@ -357,10 +354,9 @@ def collect_features(beats: RecordBeats, packs, params: PipelineParams) -> list[
                              for w in windows], dtype=bool)
         key = accepted.tobytes()
         if key not in shared:
-            features, contributing = _accepted_features(
-                times[accepted], windows[accepted], params, dct)
+            features = _accepted_features(times[accepted], windows[accepted], params, dct)
             shared[key] = FeatureBatch(
-                times=times[accepted], features=features, contributing=contributing,
+                times=times[accepted], features=features,
                 beats_detected=beats.detected,
                 n_rejected=int(accepted.shape[0] - accepted.sum()),
                 duration_s=beats.duration_s)

@@ -1,12 +1,17 @@
 """Streaming QRS detection and beat segmentation.
 
-The detector is the classic real-time chain: band-pass (cascaded recursive
-low-pass and high-pass, realized in their exact moving-sum FIR form so that
-chunked and whole-record processing agree bit for bit), 5-point derivative,
-squaring, and moving-window integration over 150 ms, followed by dual
-adaptive signal/noise peak thresholds with a 200 ms refractory period and a
+The detector is the classic real-time chain: band-pass, squaring, and
+moving-window integration over 150 ms, followed by dual adaptive
+signal/noise peak thresholds with a 200 ms refractory period and a
 half-threshold search-back when no beat arrives within 1.66 times the
-running RR mean. All stage coefficients are recomputed from the sample rate.
+running RR mean. The band-pass is one FIR: the cascaded recursive low-pass
+and high-pass in their exact moving-sum form and a 5-point derivative,
+folded into taps that are multiples of 1/8. For integer samples below
+2^53 / (8 * sum(|taps|)), about 2^38 at 512 Hz and 2^34 at 2,048 Hz, every
+band-pass sum is exact, and so is every integrator sum while the output
+stays below 2^47 (cohort records reach about 2^45); then chunked and
+whole-record processing agree bit for bit. All coefficients are recomputed
+from the sample rate.
 
 Every threshold is derived from running signal statistics, so scaling the
 input by any positive constant leaves the detected peak set unchanged.
@@ -15,15 +20,15 @@ A detector holds a few seconds of state however long the stream runs. It
 filters and scans its input _BLOCK samples at a time, so a whole record
 passed as one chunk costs no more than a block of it. It keeps in standard
 containers the newest 8 RR intervals and the newest 256 sub-threshold
-candidates in deque rings for search-back, the last 600 ms of the integrated
-signal in a list ring for the half-height walks, and a tail of the raw
-samples in an array('d') for the +-25 ms peak refinement. The tail starts
-where the earliest refinement a later peak can make starts: 600 ms of the
-integrated signal plus the chain's group delay back, or at the apex of an
-excursion that has not yet fallen below half its height, so one excursion
-that never falls keeps its samples until it falls. A search-back may still
-pick an older candidate, so each cut first refines every candidate it
-may still pick and keeps its peak.
+candidates in deque rings for search-back, and one tail of the signal: the
+raw samples for the +-25 ms peak refinement and the integrated samples for
+the half-height walks, in two array('d') that share one start index. The
+tail starts where the earliest refinement a later peak can make starts:
+600 ms of the integrated signal (the longest walk) plus the chain's group
+delay back, or at the apex of an excursion that has not yet fallen below
+half its height, so one excursion that never falls keeps its samples until
+it falls. A search-back may still pick an older candidate, so each cut
+first refines every candidate it may still pick and keeps its peak.
 
 record_beats is the one way to turn a whole record into beats: enrollment,
 verification and evaluation all take its RecordBeats.
@@ -59,8 +64,9 @@ def _fir(taps: np.ndarray, x: np.ndarray, state: np.ndarray):
 
     The state is the last len(taps) - 1 samples of the previous chunk's full
     convolution, added to the head of this one. With integer-valued samples
-    and taps every sum is exact, so any split of a signal into chunks gives
-    the whole-signal output bit for bit.
+    and taps that are multiples of 1/8, every sum is exact up to the bounds
+    in the module docstring, so any split of a signal into chunks gives the
+    whole-signal output bit for bit.
     """
     full = np.convolve(taps, x)
     full[: state.shape[0]] += state
@@ -94,10 +100,11 @@ class QrsDetector:
     independent; one instance must not be fed concurrently.
 
     feed works through a chunk _BLOCK samples at a time; for integer-valued
-    samples every split gives the same peaks. _raw holds the raw samples
-    from index _raw_start on: under 3 * _BLOCK samples plus 600 ms, the
-    group delay and the refinement half-width, except across one excursion
-    that has not fallen below half its apex (see _trim).
+    samples within the bounds in the module docstring, every split gives
+    the same peaks. _raw and _mwi hold the raw and integrated samples from
+    index _start on: under 3 * _BLOCK samples plus 600 ms, the group delay
+    and the refinement half-width, except across one excursion that has
+    not fallen below half its apex (see _trim).
     """
 
     def __init__(self, fs: int):
@@ -107,19 +114,18 @@ class QrsDetector:
         d = max(1, round(0.03 * fs))
         d2 = max(1, round(0.08 * fs))
         w = max(1, round(0.15 * fs))
-        # stage taps: two cascaded moving sums (low-pass), the classic
+        # band-pass taps: two cascaded moving sums (low-pass), the classic
         # high-pass written as 2*d2*delay(d2) - movsum(2*d2) to keep integer
-        # coefficients, a 5-point derivative, then 150 ms integration
+        # coefficients, and a 5-point derivative, folded into one FIR; then
+        # 150 ms integration
         hp = -np.ones(2 * d2)
         hp[d2] += 2.0 * d2
-        self._stages = [
-            np.ones(d),
-            np.ones(d),
-            hp,
-            np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0,
-        ]
+        bp = np.convolve(np.ones(d), np.ones(d))
+        for taps in (hp, np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0):
+            bp = np.convolve(bp, taps)
+        self._bp_taps = bp
         self._mwi_taps = np.ones(w)
-        self._zi = [np.zeros(len(b) - 1) for b in self._stages]
+        self._zi_bp = np.zeros(len(bp) - 1)
         self._zi_mwi = np.zeros(w - 1)
         # group delay of the linear-phase chain, used to map integrated-signal
         # peaks back to raw-signal time before the +-25 ms refinement
@@ -127,6 +133,8 @@ class QrsDetector:
         self._refine = max(1, round(_REFINE_S * fs))
         self._refractory = max(1, round(_REFRACTORY_S * fs))
         self._seed_n = round(_SEED_S * fs)
+        # the longest half-height walk: 600 ms of the integrated signal
+        self._walk = 4 * w
         # threshold-scan state: the current excursion's apex, the running
         # signal and noise peak levels, the last accepted beat, and rings of
         # recent RR intervals and sub-threshold candidates for search-back
@@ -137,36 +145,33 @@ class QrsDetector:
         self._last_qrs = -1
         self._rr: deque[int] = deque(maxlen=_RR_RING)
         self._cands: deque[tuple[int, float]] = deque(maxlen=_CAND_RING)
-        self._mwi_ring = [0.0] * (4 * w)
         self._raw = array("d")
-        self._raw_start = 0
+        self._mwi = array("d")
+        self._start = 0
         # refined peaks of the candidates a search-back may still pick, as
-        # of the last cut of _raw
+        # of the last cut of the tail
         self._cand_peaks: dict[int, int | None] = {}
-        self._pending_mwi: list[np.ndarray] = []
-        self._n_pending = 0
         self._seeded = False
         self._scanned = 0
         self._last_emitted = -(1 << 60)
 
     def _filter_chain(self, chunk: np.ndarray) -> np.ndarray:
-        y = chunk
-        for i, taps in enumerate(self._stages):
-            y, self._zi[i] = _fir(taps, y, self._zi[i])
-        y = y * y
-        y, self._zi_mwi = _fir(self._mwi_taps, y, self._zi_mwi)
+        y, self._zi_bp = _fir(self._bp_taps, chunk, self._zi_bp)
+        y, self._zi_mwi = _fir(self._mwi_taps, y * y, self._zi_mwi)
         return y
 
-    def _scan(self, mwi: np.ndarray) -> list[int]:
-        """Threshold-scan integrated samples; returns accepted peak indices.
+    def _scan(self) -> list[int]:
+        """Threshold-scan the integrated samples of the tail not scanned
+        yet; returns accepted peak indices.
 
         The loop runs once per sample, so it keeps the state in locals and
         works on Python floats and ints, which are cheaper to touch than
-        numpy scalars. The list _mwi_ring keeps recent samples for
-        half-height walks, indexed modulo its length; the deque _rr keeps
-        the newest _RR_RING accepted RR intervals and the deque _cands the
-        newest _CAND_RING sub-threshold candidates as (index, height), both
-        oldest first.
+        numpy scalars. A half-height walk is one numpy search over a view
+        of _mwi; the view must be gone before the tail grows or is cut, as
+        an exported array cannot be resized, so it lives only in this call.
+        The deque _rr keeps the newest _RR_RING accepted RR intervals and
+        the deque _cands the newest _CAND_RING sub-threshold candidates as
+        (index, height), both oldest first.
         """
         v_max = self._v_max
         p_max = self._p_max
@@ -175,14 +180,15 @@ class QrsDetector:
         last_qrs = self._last_qrs
         rr = self._rr
         cands = self._cands
-        mwi_ring = self._mwi_ring
         refractory = self._refractory
+        walk = self._walk
+        start = self._start
         offset = self._scanned
-        rcap = len(mwi_ring)
+        tail = np.frombuffer(self._mwi)
+        new = tail[offset - start :].tolist()
         out = []
-        for local, y in enumerate(mwi.tolist()):
+        for local, y in enumerate(new):
             n_abs = offset + local
-            mwi_ring[n_abs % rcap] = y
             m = -1
             v = 0.0
             if y > v_max:
@@ -193,12 +199,15 @@ class QrsDetector:
                 # half-height span around the apex, which for a symmetric
                 # burst is the burst center plus the integrator's group delay
                 half = 0.5 * v_max
-                floor_idx = n_abs - rcap + 1
+                floor_idx = n_abs - walk + 1
                 if floor_idx < 0:
                     floor_idx = 0
+                # walk back from the apex while samples hold half of it:
+                # one past the last that does not (NaN included), or the floor
                 i = p_max
-                while i - 1 >= floor_idx and mwi_ring[(i - 1) % rcap] >= half:
-                    i -= 1
+                if p_max > floor_idx:
+                    below = np.flatnonzero(~(tail[floor_idx - start : p_max - start] >= half))
+                    i = floor_idx + int(below[-1]) + 1 if below.shape[0] else floor_idx
                 # every sample since the apex held at least half of it, or
                 # an earlier one would have ended the excursion
                 m = (i + n_abs - 1) // 2
@@ -241,7 +250,7 @@ class QrsDetector:
         self._spk = spk
         self._npk = npk
         self._last_qrs = last_qrs
-        self._scanned += mwi.shape[0]
+        self._scanned = offset + len(new)
         return out
 
     def _refine_peak(self, m: int) -> int | None:
@@ -252,15 +261,15 @@ class QrsDetector:
             return self._cand_peaks[m]
         center = int(round(m - self._delay))
         lo = max(0, center - self._refine)
-        hi = min(self._raw_start + len(self._raw) - 1, center + self._refine)
+        hi = min(self._start + len(self._raw) - 1, center + self._refine)
         if hi < lo:
             return None
-        s = self._raw_start
+        s = self._start
         return lo + int(np.argmax(self._raw[lo - s : hi + 1 - s]))
 
-    def _run_scan(self, mwi: np.ndarray) -> list[RPeak]:
+    def _run_scan(self) -> list[RPeak]:
         peaks = []
-        for m in self._scan(mwi):
+        for m in self._scan():
             refined = self._refine_peak(m)
             if refined is None or refined - self._last_emitted < self._refractory:
                 continue
@@ -270,32 +279,39 @@ class QrsDetector:
         return peaks
 
     def _trim(self) -> None:
-        """Drop the raw samples no later refinement can read, once they
-        pass two blocks.
+        """Drop the tail samples no later walk or refinement can read, once
+        they pass two blocks.
 
         A later excursion's half-height span starts no earlier than 600 ms
-        (the ring) before the next sample, or than the current apex if that
-        is older, and its peak lies inside the span, so its refinement
-        window starts no earlier than that index less the group delay and
-        the refinement half-width.
+        (the longest walk) before the next sample, or than the current apex
+        if that is older, and its peak lies inside the span, so its
+        refinement window starts no earlier than that index less the group
+        delay and the refinement half-width. The integrated samples are cut
+        at the same index, which is before any later walk's floor.
         """
-        lo = self._scanned - len(self._mwi_ring) + 1
+        lo = self._scanned - self._walk + 1
         if self._v_max > 0.0 and self._p_max < lo:
             lo = self._p_max
         start = math.floor(lo - self._delay) - self._refine
-        if start - self._raw_start < 2 * _BLOCK:
+        if start - self._start < 2 * _BLOCK:
             return
         # a search-back may still pick a candidate past the last beat's
         # refractory; its window is whole until the first cut after it
         live = self._last_qrs + self._refractory
         self._cand_peaks = {ci: self._refine_peak(ci) for ci, _ in self._cands if ci > live}
-        del self._raw[: start - self._raw_start]
-        self._raw_start = start
+        del self._raw[: start - self._start]
+        del self._mwi[: start - self._start]
+        self._start = start
 
     def feed(self, samples) -> list[RPeak]:
         chunk = np.asarray(samples)
         if chunk.ndim != 1:
             raise ContractError("detector accepts a 1-D sample chunk")
+        # before any state changes; min and max propagate NaN, and an
+        # integer chunk is always finite
+        if chunk.dtype.kind == "f" and chunk.size and not (
+                np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
+            raise ContractError("detector samples must be finite")
         peaks = []
         for lo in range(0, chunk.shape[0], _BLOCK):
             # C order: the raw buffer appends the block's memory as it lies
@@ -305,32 +321,29 @@ class QrsDetector:
 
     def _feed_block(self, block: np.ndarray) -> list[RPeak]:
         self._raw.frombytes(memoryview(block).cast("B"))
-        mwi = self._filter_chain(block)
+        self._mwi.frombytes(memoryview(self._filter_chain(block)).cast("B"))
         if self._seeded:
-            return self._run_scan(mwi)
-        self._pending_mwi.append(mwi)
-        self._n_pending += mwi.shape[0]
-        if self._n_pending >= self._seed_n:
+            return self._run_scan()
+        if len(self._mwi) >= self._seed_n:
             return self._seed_and_scan()
         return []
 
     def finish(self) -> list[RPeak]:
         """Flush a record shorter than the seeding window."""
-        if self._seeded or self._n_pending == 0:
+        if self._seeded or not self._mwi:
             return []
         return self._seed_and_scan()
 
     def _seed_and_scan(self) -> list[RPeak]:
-        """Seed the thresholds from the first _SEED_S of the pending
-        integrated samples (all of them in a shorter record), then scan
-        them all."""
-        pending = np.concatenate(self._pending_mwi)
-        self._pending_mwi = []
-        seed = pending[: self._seed_n]
+        """Seed the thresholds from the first _SEED_S of the integrated
+        samples (all of them in a shorter record), then scan them all.
+        Nothing is cut before seeding, so the tail starts at index 0."""
+        # a copied slice: a view of _mwi would block the scan's later cut
+        seed = np.asarray(self._mwi[: self._seed_n])
         self._spk = float(seed.max())
         self._npk = float(seed.mean()) / 2.0
         self._seeded = True
-        return self._run_scan(pending)
+        return self._run_scan()
 
 
 def detect_beats(record) -> list[RPeak]:

@@ -251,9 +251,9 @@ def _cohort_morphologies(n_subjects: int, seed: int) -> list[SubjectMorphology]:
     return morphs
 
 
-def default_cohort(n_subjects: int = 8, seed: int = 0,
-                   session_s: float = 600.0, fs: int = 512) -> list[CohortSubject]:
-    """Build n subjects, each with one enroll and one test session.
+def default_cohort(n_subjects: int = 8, seed: int = 0) -> list[CohortSubject]:
+    """Build n subjects, each with one enroll and one test session of
+    600 s at 512 Hz.
 
     Session 2 reuses the subject's morphology at a slightly different heart
     rate and with fresh noise, standing in for a separate recording day.
@@ -262,8 +262,6 @@ def default_cohort(n_subjects: int = 8, seed: int = 0,
         raise ContractError("cohort needs at least 2 subjects")
     if seed < 0:
         raise ContractError(f"seed must be nonnegative, got {seed}")
-    if session_s < 600.0:
-        raise ContractError("sessions must be at least 600 s")
     subjects = []
     for i, morph in enumerate(_cohort_morphologies(n_subjects, seed)):
         subject_id = f"subj{i + 1:02d}"
@@ -275,7 +273,7 @@ def default_cohort(n_subjects: int = 8, seed: int = 0,
                 hr_bpm=morph.hr_bpm + 1.5 * k,
                 seed=morph.seed + k,
             )
-            rec, truth = generate_record(m, session_s, fs,
+            rec, truth = generate_record(m, 600.0, 512,
                                          subject_id=subject_id,
                                          session_id=session_id)
             sessions.append(SynthSession(session_id=session_id, role=role,

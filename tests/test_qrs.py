@@ -98,7 +98,7 @@ def test_fir_matches_lfilter_on_detector_taps():
     det = QrsDetector(FS)
     record, _ = generate_record(MORPH, 3.0, FS)
     noise = np.random.default_rng(3).standard_normal(len(record.samples))
-    for taps in [*det._stages, det._mwi_taps]:
+    for taps in (det._bp_taps, det._mwi_taps):
         for x in (record.samples.astype(np.float64), noise):
             for chunk in (1, 7, 64, 997):
                 ours = theirs = np.zeros(len(taps) - 1)
@@ -108,6 +108,31 @@ def test_fir_matches_lfilter_on_detector_taps():
                     want, theirs = lfilter(taps, [1.0], part, zi=theirs)
                     assert np.array_equal(got, want)
                     assert np.array_equal(ours, theirs)
+
+
+def test_band_pass_is_the_four_stage_cascade():
+    # the stage taps at 512 Hz: two 15-sample moving sums, the high-pass
+    # 82 * delay(41) - movsum(82), and the 5-point derivative
+    hp = -np.ones(82)
+    hp[41] += 82.0
+    stages = [np.ones(15), np.ones(15), hp, np.array([2.0, 1.0, 0.0, -1.0, -2.0]) / 8.0]
+    taps = QrsDetector(FS)._bp_taps
+    assert len(taps) == 114
+    assert np.abs(taps).sum() == 3453.0
+    assert np.array_equal(taps * 8.0, np.rint(taps * 8.0))
+    record, _ = generate_record(MORPH, 10.0, FS)
+    rng = np.random.default_rng(6)
+    for x in (record.samples.astype(np.float64),
+              rng.integers(-2**20, 2**20, 5 * FS).astype(np.float64)):
+        want = x
+        for b in stages:
+            want = lfilter(b, [1.0], want)
+        for chunk in (len(x), 1, 64, 997):
+            got, state = [], np.zeros(len(taps) - 1)
+            for start in range(0, len(x), chunk):
+                y, state = _fir(taps, x[start : start + chunk], state)
+                got.append(y)
+            assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 def test_import_loads_no_scipy():
@@ -186,6 +211,26 @@ def test_detector_input_contract():
     assert det.feed(np.zeros(0)) == []
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_chunk_is_refused_before_any_state_changes(bad):
+    # an accepted inf would set spk to inf, and no later beat would pass
+    record, _ = generate_record(MORPH, 60.0, FS)
+    x = record.samples.astype(np.float64)
+    a = 20 * FS
+    det = QrsDetector(FS)
+    peaks = []
+    for start in range(0, a, 64):
+        peaks += det.feed(x[start : min(start + 64, a)])
+    glitch = x[a : a + 64].copy()
+    glitch[10] = bad
+    with pytest.raises(ContractError):
+        det.feed(glitch)
+    for start in range(a, len(x), 64):
+        peaks += det.feed(x[start : start + 64])
+    peaks += det.finish()
+    assert [p.index for p in peaks] == _peak_indices(record)
+
+
 def test_segment_beat_window_alignment():
     rng = np.random.default_rng(0)
     record = EcgRecord("s", "a", FS, rng.integers(-100, 100, 2000).astype(np.int64))
@@ -251,7 +296,8 @@ def _scan(spikes: dict) -> list[int]:
     y = np.zeros(max(spikes) + 2)
     for i, height in spikes.items():
         y[i] = height
-    return det._scan(y)
+    det._mwi.extend(y.tolist())
+    return det._scan()
 
 
 def test_searchback_rr_mean_covers_the_newest_eight_intervals():
@@ -300,10 +346,10 @@ def test_searchback_skips_candidates_inside_the_refractory(offset):
 def test_half_height_span_of_an_excursion_longer_than_the_ring():
     # an apex of 1000 at 100, then 600 until 501: the excursion ends at 501,
     # so its half-height span is [100, 500] and its candidate sits at 300,
-    # although the ring (600 ms) holds none of the span's start any more
-    assert len(QrsDetector(FS)._mwi_ring) < 400
+    # although the walk (600 ms) reaches none of the span's start any more
+    assert QrsDetector(FS)._walk < 400
     assert _scan({100: 1000.0, **dict.fromkeys(range(101, 501), 600.0)}) == [300]
-    # inside the ring the span is the same walk: [100, 300] centers on 200
+    # inside the walk's reach the span is the same: [100, 300] centers on 200
     assert _scan({100: 1000.0, **dict.fromkeys(range(101, 301), 600.0)}) == [200]
 
 
@@ -366,12 +412,13 @@ def test_cohort_peaks_are_pinned(cohort3_dir):
 
 # -- bounded memory -----------------------------------------------------------
 #
-# The detector keeps a raw tail, not the stream: after every feed it holds
-# fewer raw samples than three blocks, the 600 ms ring, the group delay and
-# the refinement half-width, whatever has been fed.
+# The detector keeps a tail, not the stream: after every feed it holds
+# fewer raw samples than three blocks, the 600 ms walk, the group delay and
+# the refinement half-width, whatever has been fed, and as many integrated
+# samples.
 
 def _raw_bound(det: QrsDetector) -> int:
-    return 3 * qrs._BLOCK + len(det._mwi_ring) + math.ceil(det._delay) + det._refine
+    return 3 * qrs._BLOCK + det._walk + math.ceil(det._delay) + det._refine
 
 
 def _feed_bounded(det: QrsDetector, x: np.ndarray, chunk: int) -> list[int]:
@@ -380,6 +427,7 @@ def _feed_bounded(det: QrsDetector, x: np.ndarray, chunk: int) -> list[int]:
     for start in range(0, len(x), chunk):
         peaks += [p.index for p in det.feed(x[start : start + chunk])]
         assert len(det._raw) < bound
+        assert len(det._mwi) == len(det._raw)
     return peaks
 
 

@@ -137,8 +137,6 @@ def test_default_cohort_is_reproducible():
 def test_default_cohort_argument_contract():
     with pytest.raises(ContractError):
         default_cohort(n_subjects=1)
-    with pytest.raises(ContractError):
-        default_cohort(n_subjects=2, session_s=300.0)
 
 
 def test_truth_file_round_trip(tmp_path):
