@@ -127,6 +127,8 @@ def _parse_sweep(tokens: list[str]) -> tuple[list[float], list[int]]:
         name, sep, vals = tok.partition("=")
         if not sep or name not in ("t_avg", "m"):
             raise ContractError(f"bad sweep token {tok!r}; expected t_avg=... or m=...")
+        if name in grids:
+            raise ContractError(f"repeated sweep grid {name}= in token {tok!r}")
         parts = [v for v in vals.split(",") if v]
         if not parts:
             raise ContractError(f"empty grid in sweep token {tok!r}")

@@ -64,7 +64,7 @@ class EcgRecord:
         return len(self.samples) / self.fs
 
     def validate(self) -> None:
-        if not isinstance(self.fs, int) or self.fs <= 0:
+        if not isinstance(self.fs, int) or isinstance(self.fs, bool) or self.fs <= 0:
             raise ContractError(f"fs must be a positive integer, got {self.fs!r}")
         if len(self.samples) == 0:
             raise ContractError("record has no samples")
@@ -160,6 +160,10 @@ def write_record(record: EcgRecord, path: str | os.PathLike) -> None:
     samples = np.asarray(record.samples)
     if not np.issubdtype(samples.dtype, np.integer):
         raise ContractError(f"samples must be integers, got dtype {samples.dtype}")
+    # read_record takes int64 samples only; uint64 is the one integer dtype
+    # that reaches past them
+    if samples.dtype.kind == "u" and samples.size and samples.max() > np.iinfo(np.int64).max:
+        raise ContractError("samples must fit in int64")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"fs_hz,{record.fs}\n")
         fh.write(f"subject,{record.subject_id}\n")

@@ -241,11 +241,11 @@ class SweepCell:
 
 
 def _grid(params: PipelineParams, t_avg_grid, m_grid) -> list[PipelineParams]:
-    """params at every (t_avg, M) cell; building each cell checks it, so a
-    bad cell is refused before any runs."""
+    """params at every (t_avg, M) cell, with the grid values as given;
+    building each cell checks it, so a bad cell is refused before any runs."""
     if not t_avg_grid or not m_grid:
         raise ContractError("sweep grids must be nonempty")
-    return [replace(params, t_avg=float(t_avg), m=int(m))
+    return [replace(params, t_avg=t_avg, m=m)
             for t_avg in t_avg_grid for m in m_grid]
 
 

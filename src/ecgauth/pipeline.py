@@ -49,6 +49,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PipelineParams:
     """Verification-pipeline knobs, checked when built; defaults are the tuned
@@ -63,18 +67,19 @@ class PipelineParams:
 
     def __post_init__(self) -> None:
         # a non-finite t_v or t_avg would keep a login open or a buffer
-        # growing forever, so only finite values are parameters
-        if not (math.isfinite(self.t_avg) and self.t_avg > 0):
+        # growing forever, so only finite values are parameters; a bool is
+        # a flag, not a number, in every field
+        if not (_is_real(self.t_avg) and math.isfinite(self.t_avg) and self.t_avg > 0):
             raise ContractError("t_avg must be positive and finite")
         if not (_is_int(self.m) and 1 <= self.m <= N_WINDOW):
             raise ContractError(f"m must be an integer in [1, {N_WINDOW}]")
-        if not 0.0 < self.r_min < 1.0:
+        if not (_is_real(self.r_min) and 0.0 < self.r_min < 1.0):
             raise ContractError("r_min must be in (0, 1)")
-        if not (math.isfinite(self.t_v) and self.t_v > 0):
+        if not (_is_real(self.t_v) and math.isfinite(self.t_v) and self.t_v > 0):
             raise ContractError("t_v must be positive and finite")
         if not (_is_int(self.n) and self.n >= 1):
             raise ContractError("n must be an integer of at least 1")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
+        if not (_is_real(self.beta) and math.isfinite(self.beta) and self.beta >= 0):
             raise ContractError("beta must be nonnegative and finite")
 
 

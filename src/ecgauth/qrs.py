@@ -6,15 +6,17 @@ signal/noise peak thresholds with a 200 ms refractory period and a
 half-threshold search-back when no beat arrives within 1.66 times the
 running RR mean. The band-pass is one FIR: the cascaded recursive low-pass
 and high-pass in their exact moving-sum form and a 5-point derivative,
-folded into taps that are multiples of 1/8. For integer samples below
-2^53 / (8 * sum(|taps|)), about 2^38 at 512 Hz and 2^34 at 2,048 Hz, every
-band-pass sum is exact, and so is every integrator sum while the output
-stays below 2^47 (cohort records reach about 2^45); then chunked and
-whole-record processing agree bit for bit. All coefficients are recomputed
+folded into taps that are multiples of 1/8. All coefficients are recomputed
 from the sample rate.
 
 Every threshold is derived from running signal statistics, so scaling the
 input by any positive constant leaves the detected peak set unchanged.
+
+The detector's state has no chunk boundaries in it: each filter keeps its
+last inputs, so every filtered sample is the same dot product over the same
+inputs however the stream was split, and each search-back candidate keeps
+the peak it was refined to when it was recorded. Any split of the same
+finite samples into chunks gives the same peaks.
 
 A detector holds a few seconds of state however long the stream runs. It
 filters and scans its input _BLOCK samples at a time, so a whole record
@@ -27,8 +29,7 @@ tail starts where the earliest refinement a later peak can make starts:
 600 ms of the integrated signal (the longest walk) plus the chain's group
 delay back, or at the apex of an excursion that has not yet fallen below
 half its height, so one excursion that never falls keeps its samples until
-it falls. A search-back may still pick an older candidate, so each cut
-first refines every candidate it may still pick and keeps its peak.
+it falls.
 
 record_beats is the one way to turn a whole record into beats: enrollment,
 verification and evaluation all take its RecordBeats.
@@ -60,18 +61,18 @@ _BLOCK = 4096
 
 
 def _fir(taps: np.ndarray, x: np.ndarray, state: np.ndarray):
-    """FIR-filter one chunk; returns (output, state for the next chunk).
+    """FIR-filter one non-empty chunk; returns (output, state for the next
+    chunk).
 
-    The state is the last len(taps) - 1 samples of the previous chunk's full
-    convolution, added to the head of this one. With integer-valued samples
-    and taps that are multiples of 1/8, every sum is exact up to the bounds
-    in the module docstring, so any split of a signal into chunks gives the
+    The state is the last len(taps) - 1 inputs (zeros before the first
+    chunk). Each output is the dot product of the taps with the same inputs
+    whatever the split, so any split of a signal into chunks gives the
     whole-signal output bit for bit.
     """
-    full = np.convolve(taps, x)
-    full[: state.shape[0]] += state
-    # copy the state so it does not keep the whole chunk's convolution alive
-    return full[: x.shape[0]], full[x.shape[0] :].copy()
+    k = state.shape[0]
+    full = np.concatenate((state, x))
+    # copy the state so it does not keep the whole chunk alive
+    return np.convolve(full, taps, "valid"), full[full.shape[0] - k :].copy()
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,13 @@ class QrsDetector:
     records shorter than the 2 s threshold-seeding window). Instances are
     independent; one instance must not be fed concurrently.
 
-    feed works through a chunk _BLOCK samples at a time; for integer-valued
-    samples within the bounds in the module docstring, every split gives
-    the same peaks. _raw and _mwi hold the raw and integrated samples from
-    index _start on: under 3 * _BLOCK samples plus 600 ms, the group delay
-    and the refinement half-width, except across one excursion that has
-    not fallen below half its apex (see _trim).
+    feed works through a chunk _BLOCK samples at a time; any split of the
+    same finite samples gives the same peaks, and a search-back candidate
+    keeps the peak it was refined to when it was recorded. _raw and _mwi
+    hold the raw and integrated samples from index _start on: under
+    3 * _BLOCK samples plus 600 ms, the group delay and the refinement
+    half-width, except across one excursion that has not fallen below half
+    its apex (see _trim).
     """
 
     def __init__(self, fs: int):
@@ -144,13 +146,10 @@ class QrsDetector:
         self._npk = 0.0
         self._last_qrs = -1
         self._rr: deque[int] = deque(maxlen=_RR_RING)
-        self._cands: deque[tuple[int, float]] = deque(maxlen=_CAND_RING)
+        self._cands: deque[tuple[int, float, int | None]] = deque(maxlen=_CAND_RING)
         self._raw = array("d")
         self._mwi = array("d")
         self._start = 0
-        # refined peaks of the candidates a search-back may still pick, as
-        # of the last cut of the tail
-        self._cand_peaks: dict[int, int | None] = {}
         self._seeded = False
         self._scanned = 0
         self._last_emitted = -(1 << 60)
@@ -160,9 +159,9 @@ class QrsDetector:
         y, self._zi_mwi = _fir(self._mwi_taps, y * y, self._zi_mwi)
         return y
 
-    def _scan(self) -> list[int]:
+    def _scan(self) -> list[tuple[int, int | None]]:
         """Threshold-scan the integrated samples of the tail not scanned
-        yet; returns accepted peak indices.
+        yet; returns the accepted (index, refined peak) pairs.
 
         The loop runs once per sample, so it keeps the state in locals and
         works on Python floats and ints, which are cheaper to touch than
@@ -171,7 +170,8 @@ class QrsDetector:
         an exported array cannot be resized, so it lives only in this call.
         The deque _rr keeps the newest _RR_RING accepted RR intervals and
         the deque _cands the newest _CAND_RING sub-threshold candidates as
-        (index, height), both oldest first.
+        (index, height, peak), both oldest first. Every peak is refined
+        when its index is scanned, while its raw window is in the tail.
         """
         v_max = self._v_max
         p_max = self._p_max
@@ -224,15 +224,15 @@ class QrsDetector:
                 # the highest candidate past the refractory and above half
                 # the threshold; the earliest of equal ones
                 half = 0.5 * (npk + 0.25 * (spk - npk))
-                bi, bv = -1, 0.0
-                for ci, cv in cands:
+                bi, bv, bp = -1, 0.0, None
+                for ci, cv, cp in cands:
                     if ci > last_qrs + refractory and cv > half and (bi < 0 or cv > bv):
-                        bi, bv = ci, cv
+                        bi, bv, bp = ci, cv, cp
                 if bi >= 0:
                     spk = 0.25 * bv + 0.75 * spk
                     rr.append(bi - last_qrs)
                     last_qrs = bi
-                    out.append(bi)
+                    out.append((bi, bp))
                     if m - last_qrs <= refractory:
                         continue
             thr = npk + 0.25 * (spk - npk)
@@ -241,10 +241,10 @@ class QrsDetector:
                 if last_qrs >= 0:
                     rr.append(m - last_qrs)
                 last_qrs = m
-                out.append(m)
+                out.append((m, self._refine_peak(m)))
             else:
                 npk = 0.125 * v + 0.875 * npk
-                cands.append((m, v))
+                cands.append((m, v, self._refine_peak(m)))
         self._v_max = v_max
         self._p_max = p_max
         self._spk = spk
@@ -256,9 +256,8 @@ class QrsDetector:
     def _refine_peak(self, m: int) -> int | None:
         """The raw-signal maximum within +-25 ms of integrated-signal index
         m mapped back by the group delay; None when that window lies before
-        the record. A candidate refined before a cut keeps that peak."""
-        if m in self._cand_peaks:
-            return self._cand_peaks[m]
+        the record. The group delay exceeds the half-width, so the window
+        ends before m and is whole in the tail once m is scanned."""
         center = int(round(m - self._delay))
         lo = max(0, center - self._refine)
         hi = min(self._start + len(self._raw) - 1, center + self._refine)
@@ -269,8 +268,7 @@ class QrsDetector:
 
     def _run_scan(self) -> list[RPeak]:
         peaks = []
-        for m in self._scan():
-            refined = self._refine_peak(m)
+        for _, refined in self._scan():
             if refined is None or refined - self._last_emitted < self._refractory:
                 continue
             self._last_emitted = refined
@@ -287,7 +285,9 @@ class QrsDetector:
         if that is older, and its peak lies inside the span, so its
         refinement window starts no earlier than that index less the group
         delay and the refinement half-width. The integrated samples are cut
-        at the same index, which is before any later walk's floor.
+        at the same index, which is before any later walk's floor. Search-
+        back candidates already hold their peaks, so nothing else reads the
+        cut samples.
         """
         lo = self._scanned - self._walk + 1
         if self._v_max > 0.0 and self._p_max < lo:
@@ -295,10 +295,6 @@ class QrsDetector:
         start = math.floor(lo - self._delay) - self._refine
         if start - self._start < 2 * _BLOCK:
             return
-        # a search-back may still pick a candidate past the last beat's
-        # refractory; its window is whole until the first cut after it
-        live = self._last_qrs + self._refractory
-        self._cand_peaks = {ci: self._refine_peak(ci) for ci, _ in self._cands if ci > live}
         del self._raw[: start - self._start]
         del self._mwi[: start - self._start]
         self._start = start
@@ -307,8 +303,11 @@ class QrsDetector:
         chunk = np.asarray(samples)
         if chunk.ndim != 1:
             raise ContractError("detector accepts a 1-D sample chunk")
-        # before any state changes; min and max propagate NaN, and an
-        # integer chunk is always finite
+        # before any state changes; only bool, integer and float chunks are
+        # numbers the filters take as they are, min and max propagate NaN,
+        # and an integer chunk is always finite
+        if chunk.dtype.kind not in "biuf":
+            raise ContractError(f"detector samples must be real numbers, got dtype {chunk.dtype}")
         if chunk.dtype.kind == "f" and chunk.size and not (
                 np.isfinite(chunk.min()) and np.isfinite(chunk.max())):
             raise ContractError("detector samples must be finite")

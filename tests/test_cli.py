@@ -270,6 +270,11 @@ def test_parse_sweep_grids():
         _parse_sweep(["t_avg=six", "m=20"])
     with pytest.raises(ContractError, match="needs both"):
         _parse_sweep(["m=20"])
+    # a later token would silently replace the earlier grid
+    with pytest.raises(ContractError, match="repeated sweep grid t_avg="):
+        _parse_sweep(["t_avg=6", "m=20", "t_avg=12"])
+    with pytest.raises(ContractError, match="repeated sweep grid m="):
+        _parse_sweep(["t_avg=6", "m=20", "m=40"])
 
 
 # -- argument handling -----------------------------------------------------------

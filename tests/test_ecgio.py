@@ -137,6 +137,22 @@ def test_write_record_requires_integer_samples(tmp_path):
         write_record(rec, tmp_path / "r.csv")
 
 
+def test_write_record_refuses_what_read_record_would_refuse(tmp_path):
+    # a bool fs would be written as "True", and uint64 samples past int64
+    # would be written whole; read_record refuses both, so neither is written
+    path = tmp_path / "r.csv"
+    with pytest.raises(ContractError, match="fs"):
+        write_record(EcgRecord("s", "a", True, np.array([1], dtype=np.int64)), path)
+    big = np.array([1, 2**63], dtype=np.uint64)
+    with pytest.raises(ContractError, match="int64"):
+        write_record(EcgRecord("s", "a", 512, big), path)
+    assert not path.exists()
+    # the largest uint64 samples that fit round-trip
+    fits = np.array([0, 2**63 - 1], dtype=np.uint64)
+    write_record(EcgRecord("s", "a", 512, fits), path)
+    assert read_record(path).samples.tolist() == fits.tolist()
+
+
 def _write_records(tmp_path, names):
     for name in names:
         write_record(_record(n=8), tmp_path / name)

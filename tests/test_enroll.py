@@ -100,6 +100,8 @@ def test_template_pack_build_contract():
     *({name: value} for name in ("t_avg", "t_v", "beta")
       for value in (float("nan"), float("inf"), float("-inf"))),
     dict(m=20.5), dict(n=10.5), dict(n=True),
+    # True == 1 would pass every range check of t_avg, t_v and beta
+    *({name: flag} for name in ("t_avg", "r_min", "t_v", "beta") for flag in (True, False)),
 ])
 def test_params_validation(bad):
     with pytest.raises(ContractError):

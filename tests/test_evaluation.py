@@ -382,6 +382,14 @@ def test_sweep_refuses_a_bad_cell_before_reading(entries3, monkeypatch):
         evaluate(entries3, PARAMS, ([18.0], [40, 0]))
     with pytest.raises(ContractError, match="t_avg must"):
         evaluate(entries3, PARAMS, ([float("inf")], [40]))
+    # grid values are checked as given: no cell runs at M=20, M=1 or
+    # t_avg=1.0 in place of 20.5 and True
+    with pytest.raises(ContractError, match="m must"):
+        evaluate(entries3, PARAMS, ([6.0], [20.5]))
+    with pytest.raises(ContractError, match="m must"):
+        evaluate(entries3, PARAMS, ([6.0], [40, True]))
+    with pytest.raises(ContractError, match="t_avg must"):
+        evaluate(entries3, PARAMS, ([6.0, True], [40]))
     assert not reads
 
 

@@ -92,22 +92,37 @@ def test_chunked_feeding_matches_whole_record():
         assert _chunked_indices(layout, len(layout)) == whole
 
 
-def test_fir_matches_lfilter_on_detector_taps():
-    # scipy's FIR path (a == [1.0]) is the oracle; a non-integer signal makes
-    # any change in summation order show up in the last bits
+def test_fir_of_any_split_is_the_whole_signal_output():
+    # non-integer samples make any change in summation order show up in the
+    # last bits; scipy's FIR path (a == [1.0]) is the oracle once the taps
+    # cover real samples only
     det = QrsDetector(FS)
-    record, _ = generate_record(MORPH, 3.0, FS)
-    noise = np.random.default_rng(3).standard_normal(len(record.samples))
+    x = np.random.default_rng(3).standard_normal(10_000)
     for taps in (det._bp_taps, det._mwi_taps):
-        for x in (record.samples.astype(np.float64), noise):
-            for chunk in (1, 7, 64, 997):
-                ours = theirs = np.zeros(len(taps) - 1)
-                for start in range(0, len(x), chunk):
-                    part = x[start : start + chunk]
-                    got, ours = _fir(taps, part, ours)
-                    want, theirs = lfilter(taps, [1.0], part, zi=theirs)
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(ours, theirs)
+        k = len(taps) - 1
+        whole, state = _fir(taps, x, np.zeros(k))
+        assert np.array_equal(state, x[-k:])
+        assert whole[k:].tobytes() == lfilter(taps, [1.0], x)[k:].tobytes()
+        for chunk in (1, 7, 64, 997, 4096):
+            got, state = [], np.zeros(k)
+            for start in range(0, len(x), chunk):
+                y, state = _fir(taps, x[start : start + chunk], state)
+                got.append(y)
+            assert np.concatenate(got).tobytes() == whole.tobytes()
+
+
+def test_integrated_samples_do_not_depend_on_the_split():
+    # at three times a cohort record's amplitude the integrator sums pass
+    # 2^47, where float sums that restart at chunk heads would lose bits
+    session = default_cohort(2, seed=0)[0].sessions[0]
+    x = 3.0 * session.record.samples[: 120 * FS]
+    whole = QrsDetector(FS)._filter_chain(x)
+    assert whole.max() > 2.0**47
+    for chunk in (64, 997):
+        det = QrsDetector(FS)
+        got = np.concatenate([det._filter_chain(x[start : start + chunk])
+                              for start in range(0, len(x), chunk)])
+        assert got.tobytes() == whole.tobytes()
 
 
 def test_band_pass_is_the_four_stage_cascade():
@@ -211,9 +226,9 @@ def test_detector_input_contract():
     assert det.feed(np.zeros(0)) == []
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_non_finite_chunk_is_refused_before_any_state_changes(bad):
-    # an accepted inf would set spk to inf, and no later beat would pass
+def _refused_midstream(glitch):
+    """Feed 20 s in packets, then a chunk the detector must refuse, then the
+    rest: the peaks are those of the record fed whole."""
     record, _ = generate_record(MORPH, 60.0, FS)
     x = record.samples.astype(np.float64)
     a = 20 * FS
@@ -221,14 +236,34 @@ def test_non_finite_chunk_is_refused_before_any_state_changes(bad):
     peaks = []
     for start in range(0, a, 64):
         peaks += det.feed(x[start : min(start + 64, a)])
-    glitch = x[a : a + 64].copy()
-    glitch[10] = bad
     with pytest.raises(ContractError):
-        det.feed(glitch)
+        det.feed(glitch(x[a : a + 64].copy()))
     for start in range(a, len(x), 64):
         peaks += det.feed(x[start : start + 64])
     peaks += det.finish()
     assert [p.index for p in peaks] == _peak_indices(record)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_chunk_is_refused_before_any_state_changes(bad):
+    # an accepted inf would set spk to inf, and no later beat would pass
+    def glitch(packet):
+        packet[10] = bad
+        return packet
+    _refused_midstream(glitch)
+
+
+@pytest.mark.parametrize("glitch", [
+    lambda packet: [1, None, 3] * 2000,
+    lambda packet: np.array(["nan"] * 2000),
+    lambda packet: np.array([1.0, float("nan")] * 1000, dtype=object),
+    lambda packet: packet.astype(np.complex128),
+], ids=["none-list", "str", "object-nan", "complex"])
+def test_non_numeric_chunk_is_refused_before_any_state_changes(glitch):
+    # each was cast to float64: None, "nan" and the object NaN as NaN, which
+    # then stays in the integrated tail, and complex samples without their
+    # imaginary part
+    _refused_midstream(glitch)
 
 
 def test_segment_beat_window_alignment():
@@ -297,7 +332,8 @@ def _scan(spikes: dict) -> list[int]:
     for i, height in spikes.items():
         y[i] = height
     det._mwi.extend(y.tolist())
-    return det._scan()
+    det._raw.extend([0.0] * len(y))
+    return [m for m, _ in det._scan()]
 
 
 def test_searchback_rr_mean_covers_the_newest_eight_intervals():
@@ -456,8 +492,18 @@ def test_raw_tail_stays_bounded_over_two_quiet_hours(quiet):
     assert peaks and det._cands
     _feed_bounded(det, tail, 4097)
     if quiet == "zeros":
-        # candidates still eligible had their peaks refined before the cut
-        assert det._cand_peaks
+        # every candidate a search-back may still pick keeps the peak it was
+        # refined to, although its raw window left the tail long ago: the
+        # peak a detector that never cuts refines now. Zeros bring no
+        # candidate once the integrated signal is exactly zero again
+        ref = QrsDetector(FS)
+        ref._trim = lambda: None
+        ref.feed(np.concatenate([record.samples, tail[: 10 * FS]]))
+        live = [c for c in det._cands if c[0] > det._last_qrs + det._refractory]
+        assert live and all(c[2] is not None for c in live)
+        for ci, _, cp in live:
+            assert round(ci - det._delay) + det._refine < det._start
+            assert cp == ref._refine_peak(ci)
 
 
 def test_an_excursion_longer_than_the_tail_keeps_its_samples(monkeypatch):
