@@ -90,8 +90,8 @@ def _header_value(line: str, key: str, lineno: int) -> str:
     return value
 
 
-def _read_header(fh) -> tuple[int, str, str]:
-    lines = [fh.readline() for _ in range(4)]
+def _read_header(lines: list[str]) -> tuple[int, str, str]:
+    """fs, subject and session from the file's first 4 lines."""
     if any(line == "" for line in lines):
         raise FormatError("file truncated before the 4-line header ends")
     fs_text = _header_value(lines[0], "fs_hz", 1)
@@ -146,12 +146,135 @@ def _iter_rows(fh) -> Iterator[int]:
         yield adc
 
 
-def read_record(path: str | os.PathLike) -> EcgRecord:
-    """Parse one record file into an EcgRecord."""
+def _read_rows(path) -> EcgRecord:
+    """The row-by-row parse, which names the first fault in the file."""
     with _utf8_text(path) as fh:
-        fs, subject, session = _read_header(fh)
+        fs, subject, session = _read_header([fh.readline() for _ in range(4)])
         samples = np.fromiter(_iter_rows(fh), dtype=np.int64)
+    if not samples.size:
+        raise ParseError("line 5: no sample rows after the header")
     return EcgRecord(subject_id=subject, session_id=session, fs=fs, samples=samples)
+
+
+_BLOCK = 1 << 15  # bytes the block parser reads at a time, into one buffer
+_MAX_DIGITS = 18  # a field of at most 18 digits fits int64: 10**18 - 1 < 2**63
+_NL, _COMMA, _MINUS, _ZERO = b"\n,-0"
+# Byte tables. A lookup runs through numpy's gather code, which the parse
+# needs anyway; uint8 arithmetic and masks would page in more of numpy's
+# compiled loops, about 0.2 MB of resident memory in a process.
+_IS_DIGIT = np.zeros(256, dtype=bool)
+_IS_DIGIT[_ZERO:_ZERO + 10] = True
+_DIGIT_VALUE = np.zeros(256, dtype=np.int64)
+_DIGIT_VALUE[_ZERO:_ZERO + 10] = np.arange(10)
+
+
+def _field_values(a: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The integers written in the digit fields a[start:end], each 1 to
+    _MAX_DIGITS digits long, by Horner's rule over right-aligned columns."""
+    values = np.zeros(end.shape[0], dtype=np.int64)
+    # the ',', '-' or newline in front of each field; for the first row of
+    # a block, index -1: the block's last byte, a newline
+    before = start - 1
+    for col in range(int((end - start).max()), 0, -1):
+        # a column left of its field reads the byte in front of it, worth 0
+        values *= 10
+        values += _DIGIT_VALUE.take(a.take(np.maximum(end - col, before)))
+    return values
+
+
+def _block_samples(a: np.ndarray, first: int) -> np.ndarray | None:
+    """The samples of the rows that fill a (uint8, ending in a newline),
+    whose first row is sample index first; None unless every row is the
+    canonical 'n,adc' row with at most _MAX_DIGITS digits in each field."""
+    ends = np.flatnonzero(a == _NL)
+    commas = np.flatnonzero(a == _COMMA)
+    minus = a == _MINUS
+    n_digits = np.count_nonzero(_IS_DIGIT.take(a))
+    if (commas.shape != ends.shape
+            or n_digits + np.count_nonzero(minus) + 2 * ends.shape[0] != a.shape[0]):
+        return None  # a byte other than a digit, ',', '-' or a newline
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    neg = minus[commas + 1]
+    if np.count_nonzero(minus) != np.count_nonzero(neg):
+        return None  # a '-' anywhere but right after a comma
+    digits = commas + 1 + neg
+    index_len = commas - starts
+    adc_len = ends - digits
+    # commas and newlines are sorted and equal in number, so each row holds
+    # exactly its own comma when every field is 1 to _MAX_DIGITS digits
+    if (min(index_len.min(), adc_len.min()) < 1
+            or max(index_len.max(), adc_len.max()) > _MAX_DIGITS):
+        return None
+    # a field starts with 0 only when it is "0" (",0\n" is 2 bytes past its
+    # comma): no leading zero and no -0
+    zero = a == _ZERO
+    if (index_len[zero[starts]].max(initial=1) > 1
+            or (ends - commas)[zero[digits]].max(initial=2) > 2):
+        return None
+    index = _field_values(a, starts, commas)
+    index -= np.arange(first, first + ends.shape[0])
+    if index.min() or index.max():
+        return None
+    values = _field_values(a, digits, ends)
+    values[neg] *= -1
+    return values
+
+
+def _read_blocks(path) -> EcgRecord | None:
+    """The record, parsed a block of whole rows at a time: rows are counted
+    first, then parsed into one preallocated array. None if the file holds
+    anything the row parse might refuse or read differently: a header that
+    is not 4 newline-ended UTF-8 lines without a carriage return, an empty
+    body, a missing final newline, or a row that is not canonical."""
+    with open(path, "rb") as fh:
+        head = [fh.readline() for _ in range(4)]
+        if any(not line.endswith(b"\n") or b"\r" in line for line in head):
+            return None
+        try:
+            fs, subject, session = _read_header([line.decode("utf-8") for line in head])
+        except (UnicodeDecodeError, FormatError):
+            return None
+        body = fh.tell()
+        buf = bytearray(_BLOCK)
+        rows = last = 0
+        while n := fh.readinto(buf):
+            rows += buf.count(b"\n", 0, n)
+            last = buf[n - 1]
+        if last != _NL:
+            return None
+        samples = np.empty(rows, dtype=np.int64)
+        fh.seek(body)
+        view = memoryview(buf)
+        filled = kept = 0
+        while n := fh.readinto(view[kept:]):
+            size = kept + n
+            end = buf.rfind(b"\n", 0, size) + 1
+            if end:
+                block = _block_samples(np.frombuffer(buf, dtype=np.uint8, count=end), filled)
+                if block is None or filled + block.shape[0] > rows:
+                    return None
+                samples[filled:filled + block.shape[0]] = block
+                filled += block.shape[0]
+            elif size == _BLOCK:
+                return None  # a row longer than the buffer
+            kept = size - end
+            buf[:kept] = buf[end:size]
+        if kept or filled != rows:
+            return None  # the file changed between the passes
+    return EcgRecord(subject_id=subject, session_id=session, fs=fs, samples=samples)
+
+
+def read_record(path: str | os.PathLike) -> EcgRecord:
+    """Parse one record file into an EcgRecord.
+
+    Canonical files are parsed in fixed-size blocks; any other file is
+    parsed again row by row, so every error names the same line with the
+    same text whichever parse meets it. A file with no sample row is
+    refused with a ParseError at line 5.
+    """
+    record = _read_blocks(path)
+    return record if record is not None else _read_rows(path)
 
 
 def write_record(record: EcgRecord, path: str | os.PathLike) -> None:

@@ -33,10 +33,8 @@ from functools import partial
 import numpy as np
 
 from . import pipeline
-from .beatmath import pearson
 from .ecgio import TRAIN_ROLES, manifest_beats
-from .errors import (ContractError, EnrollmentQualityError, FormatError,
-                     ZeroVarianceError)
+from .errors import ContractError, EnrollmentQualityError, FormatError
 from .pipeline import PipelineParams, SubjectModel, TemplatePack
 from .qrs import LEFT, N_WINDOW, RecordBeats
 from .svm import LinearSvm, train_svm
@@ -53,15 +51,7 @@ def _template_and_survivors(w: np.ndarray, r_min: float) -> tuple[np.ndarray, np
     median = np.median(w, axis=0)
     med_mean = float(median.mean())
     med_sdev = float(median.std(ddof=1))
-    kept = []
-    for row in w:
-        try:
-            r = pearson(row, median, y_mean=med_mean, y_sdev=med_sdev)
-        except ZeroVarianceError:
-            kept.append(False)
-            continue
-        kept.append(r >= r_min)
-    kept = np.asarray(kept)
+    kept = pipeline.correlation_at_least(w, [median], [med_mean], [med_sdev], r_min)[0]
     n_kept = int(kept.sum())
     if n_kept < MIN_SURVIVOR_FRACTION * len(w):
         raise EnrollmentQualityError(

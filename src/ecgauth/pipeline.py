@@ -115,6 +115,44 @@ class SubjectModel:
     params: PipelineParams
 
 
+def correlation_at_least(rows: np.ndarray, templates: np.ndarray, means, sdevs,
+                         r_min: float) -> np.ndarray:
+    """[p, k] is whether pearson(rows[k], templates[p], y_mean=means[p],
+    y_sdev=sdevs[p]) is at least r_min, False where it raises
+    ZeroVarianceError, bit for bit as the per-row calls decide.
+
+    One matrix product gives every r. It sums in another order than
+    pearson, so its r can differ from pearson's by a few len(row) * 2**-52,
+    times max|row| / |row - row mean| where the row's mean rounds
+    differently. pearson decides the rows whose r lies within 1e-9 of r_min
+    on that scale, and the rows that are constant or whose spread or r is
+    not finite.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    templates = np.reshape(np.asarray(templates, dtype=np.float64), (-1, rows.shape[1]))
+    means = np.asarray(means, dtype=np.float64)
+    sdevs = np.asarray(sdevs, dtype=np.float64)
+    mins = rows.min(axis=1)
+    maxs = rows.max(axis=1)
+    sy = sdevs * math.sqrt(rows.shape[1] - 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx = rows - rows.mean(axis=1, keepdims=True)
+        sx = np.sqrt(np.einsum("ij,ij->i", dx, dx))
+        r = ((templates - means[:, None]) @ dx.T) / (sy[:, None] * sx)
+        band = 1e-9 * (1.0 + np.maximum(np.abs(mins), np.abs(maxs)) / sx)
+        decided = ((np.abs(r - r_min) > band)
+                   & ((sx > 0.0) & np.isfinite(sx) & (mins < maxs))
+                   & ((sy > 0.0) & np.isfinite(sy))[:, None])
+    passes = decided & (r >= r_min)
+    for p, k in zip(*np.nonzero(~decided)):
+        try:
+            passes[p, k] = pearson(rows[k], templates[p], y_mean=float(means[p]),
+                                   y_sdev=float(sdevs[p])) >= r_min
+        except ZeroVarianceError:
+            pass
+    return passes
+
+
 def _prescreen_window(window: np.ndarray, pack: TemplatePack, r_min: float) -> str | None:
     """None when the window passes; otherwise the rejection reason."""
     try:
@@ -126,6 +164,18 @@ def _prescreen_window(window: np.ndarray, pack: TemplatePack, r_min: float) -> s
     if window.min() < pack.amp_lo or window.max() > pack.amp_hi:
         return "amplitude"
     return None
+
+
+def prescreen_accepts(windows: np.ndarray, packs: list, r_min: float) -> np.ndarray:
+    """[p, k] is whether _prescreen_window(windows[k], packs[p], r_min) is
+    None, for every beat and pack at once (see correlation_at_least)."""
+    correlated = correlation_at_least(windows, [p.template for p in packs],
+                                      [p.mean for p in packs], [p.sdev for p in packs], r_min)
+    mins = windows.min(axis=1)
+    maxs = windows.max(axis=1)
+    lo = np.array([p.amp_lo for p in packs])[:, None]
+    hi = np.array([p.amp_hi for p in packs])[:, None]
+    return correlated & ~((mins < lo) | (maxs > hi))
 
 
 class FeatureStream:
@@ -354,9 +404,8 @@ def collect_features(beats: RecordBeats, packs, params: PipelineParams) -> list[
     dct = DctMatrix.build(n=N_WINDOW, m=params.m)
     shared: dict[bytes, FeatureBatch] = {}
     batches = []
-    for pack in packs:
-        accepted = np.array([_prescreen_window(w, pack, params.r_min) is None
-                             for w in windows], dtype=bool)
+    packs = list(packs)
+    for pack, accepted in zip(packs, prescreen_accepts(windows, packs, params.r_min)):
         key = accepted.tobytes()
         if key not in shared:
             features = _accepted_features(times[accepted], windows[accepted], params, dct)

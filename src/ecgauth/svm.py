@@ -18,6 +18,8 @@ the sign themselves.
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +28,7 @@ from .errors import ContractError
 
 _GAP_RTOL = 1e-6
 _GAP_CHECK_EVERY = 256
-
-
-def _kkt_bounds(y, alpha, cvec, f):
-    """f over the KKT up set (-inf elsewhere) and over the low set (inf elsewhere)."""
-    up = ((y > 0.0) & (alpha < cvec)) | ((y < 0.0) & (alpha > 0.0))
-    low = ((y > 0.0) & (alpha > 0.0)) | ((y < 0.0) & (alpha < cvec))
-    return np.where(up, f, -np.inf), np.where(low, f, np.inf)
+_PAIR_CACHE = 64  # (i, j) pairs whose update vectors one fit keeps
 
 
 def _primal_and_gap(x, y, cvec, alpha, w, bias):
@@ -48,53 +44,70 @@ def _smo(x, y, cvec, max_steps, gap_rtol):
     n = x.shape[0]
     alpha = np.zeros(n)
     w = np.zeros(x.shape[1])
-    f = y.copy()  # f[t] = y[t] - x[t].w throughout
+    pos = (y > 0.0).tolist()
+    c = cvec.tolist()
+    # f[t] = y[t] - x[t].w, kept over the KKT up set in fu (-inf elsewhere)
+    # and over the low set in fl (inf elsewhere); every t is in one of the
+    # two, and a step moves alpha, so the sets, at i and j only
+    fu = np.where(y > 0.0, y, -np.inf)
+    fl = np.where(y > 0.0, np.inf, y)
+    # (x[i] - x[j], its clamped squared norm, x @ it) of recent pairs (i, j)
+    pairs: OrderedDict = OrderedDict()
     steps = 0
     while steps < max_steps:
-        fu, fl = _kkt_bounds(y, alpha, cvec, f)
-        i = int(np.argmax(fu))
-        j = int(np.argmin(fl))
-        m_hi = fu[i]
-        m_lo = fl[j]
-        if np.isinf(m_hi) or np.isinf(m_lo) or m_hi - m_lo <= 1e-12:
+        i = int(fu.argmax())
+        j = int(fl.argmin())
+        m_hi = float(fu[i])
+        m_lo = float(fl[j])
+        if math.isinf(m_hi) or math.isinf(m_lo) or m_hi - m_lo <= 1e-12:
             break
         if steps % _GAP_CHECK_EVERY == 0:
             primal, gap = _primal_and_gap(x, y, cvec, alpha, w, 0.5 * (m_hi + m_lo))
             if gap <= gap_rtol * (1.0 + abs(primal)):
                 break
-        diff = x[i] - x[j]
-        quad = np.dot(diff, diff)
-        if quad < 1e-12:
-            quad = 1e-12
+        pair = pairs.get((i, j))
+        if pair is None:
+            diff = x[i] - x[j]
+            quad = float(np.dot(diff, diff))
+            if quad < 1e-12:
+                quad = 1e-12
+            pair = pairs[i, j] = (diff, quad, np.dot(x, diff))
+            if len(pairs) > _PAIR_CACHE:
+                pairs.popitem(last=False)
+        else:
+            pairs.move_to_end((i, j))
+        diff, quad, x_diff = pair
         step_len = (m_hi - m_lo) / quad
-        if y[i] > 0.0:
-            lim = cvec[i] - alpha[i]
-        else:
-            lim = alpha[i]
-        if y[j] > 0.0:
-            lim2 = alpha[j]
-        else:
-            lim2 = cvec[j] - alpha[j]
+        a_i = float(alpha[i])
+        a_j = float(alpha[j])
+        lim = c[i] - a_i if pos[i] else a_i
+        lim2 = a_j if pos[j] else c[j] - a_j
         if lim2 < lim:
             lim = lim2
         if step_len > lim:
             step_len = lim
         if step_len <= 0.0:
             break
-        alpha[i] += y[i] * step_len
-        alpha[j] -= y[j] * step_len
+        alpha[i] = a_i + step_len if pos[i] else a_i - step_len
+        alpha[j] = a_j - step_len if pos[j] else a_j + step_len
         w += step_len * diff
-        f -= step_len * np.dot(x, diff)
+        step = step_len * x_diff
+        fu -= step
+        fl -= step
+        for t in (i, j):
+            f_t = fu[t] if fu[t] != -np.inf else fl[t]
+            below_c, above_0 = alpha[t] < c[t], alpha[t] > 0.0
+            fu[t] = f_t if (below_c if pos[t] else above_0) else -np.inf
+            fl[t] = f_t if (above_0 if pos[t] else below_c) else np.inf
         steps += 1
     # final bias from the KKT interval endpoints
-    fu, fl = _kkt_bounds(y, alpha, cvec, f)
-    m_hi = fu[int(np.argmax(fu))]
-    m_lo = fl[int(np.argmin(fl))]
-    if np.isinf(m_hi) and np.isinf(m_lo):
+    m_hi = float(fu.max())
+    m_lo = float(fl.min())
+    if math.isinf(m_hi) and math.isinf(m_lo):
         bias = 0.0
-    elif np.isinf(m_hi):
+    elif math.isinf(m_hi):
         bias = m_lo
-    elif np.isinf(m_lo):
+    elif math.isinf(m_lo):
         bias = m_hi
     else:
         bias = 0.5 * (m_hi + m_lo)

@@ -179,6 +179,7 @@ _RECORD_HEAD = b"fs_hz,512\nsubject,s\nsession,a\nn,adc\n"
     pytest.param("verify", _RECORD_HEAD + b"0,1\n1,\xff2\n", id="record-not-utf8"),
     pytest.param("verify", _RECORD_HEAD + b"0,1\n1,99999999999999999999999\n",
                  id="record-beyond-int64"),
+    pytest.param("verify", _RECORD_HEAD, id="record-header-only"),
     pytest.param("evaluate", b"subject,session,path,role\na,s1,a1.csv,enroll\xff\n",
                  id="manifest-not-utf8"),
 ])

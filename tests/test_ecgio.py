@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecgauth import ecgio
 from ecgauth.ecgio import (EcgRecord, ManifestEntry, read_manifest,
                            read_record, write_manifest, write_record)
-from ecgauth.errors import ContractError, FormatError, ParseError
+from ecgauth.errors import ContractError, EcgAuthError, FormatError, ParseError
 
 
 def _record(n=1024, fs=512, subject="s", session="a"):
@@ -198,3 +203,160 @@ def test_read_manifest_rejections(tmp_path):
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(err):
             read_manifest(path)
+
+
+# -- the block parser against the row parser ------------------------------------
+
+_HEAD = "fs_hz,512\nsubject,s\nsession,a\nn,adc\n"
+
+
+@pytest.mark.parametrize("text", [_HEAD, _HEAD.rstrip("\n")])
+def test_header_only_record_is_refused_at_line_5(tmp_path, text):
+    # write_record refuses a record without samples, so read_record must too
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    for read in (read_record, ecgio._read_rows):
+        with pytest.raises(ParseError, match="^line 5: "):
+            read(path)
+
+
+def _outcome(read, path):
+    """(fields of the record, None) or (None, (exception class, text))."""
+    try:
+        rec = read(path)
+    except EcgAuthError as exc:
+        return None, (type(exc), str(exc))
+    return (rec.fs, rec.subject_id, rec.session_id, rec.samples.dtype.str,
+            rec.samples.tolist()), None
+
+
+_TOKENS = ["+1", "-0", "007", "00", "1_000", "-", "", " 1", "1 ", "1.0", "--1", "1-1",
+           "0x1", "\u0663", "999999999999999999", "-999999999999999999",
+           "1000000000000000000", "-1000000000000000000",  # 19 digits
+           "12345678901234567890", "-12345678901234567890",  # 20 digits
+           str(2**63 - 1), str(-2**63), str(2**63), str(-2**63 - 1)]
+_LINES = ["", "x", ",", "1,2,3", "-1,4", "0,1", "\r", "\x00", "\u00e4"]
+_BYTES = [b"\xff", b"\xc3", b"\x00", b"\r", b"\n", b",", b"-", b"0", "\u00e4".encode()]
+_SUBJECTS = ["s", "\u00e4", "x y", "a\rb", "a,b", "\ufeffs"]
+
+
+def _rows(values) -> list[bytes]:
+    return [f"{k},{v}\n".encode() for k, v in enumerate(values)]
+
+
+def _head(subject: str = "s") -> bytes:
+    return f"fs_hz,512\nsubject,{subject}\nsession,a\nn,adc\n".encode()
+
+
+# small values make short rows: these fill about 3 parse blocks
+_LONG = [(37 * k) % 2001 - 1000 for k in range(3 * ecgio._BLOCK // 9)]
+
+
+def _row_at(head: bytes, rows: list[bytes], offset: int) -> int:
+    """Index of the row holding byte offset of the file (the last row if
+    the file is shorter)."""
+    ends = np.cumsum([len(head)] + [len(r) for r in rows])
+    return min(int(np.searchsorted(ends, offset, side="right")) - 1, len(rows) - 1)
+
+
+def _mutate(rows: list[bytes], k: int, kind: str, token) -> list[bytes]:
+    rows = list(rows)
+    if kind == "value":
+        rows[k] = f"{k},{token}\n".encode()
+    elif kind == "index":
+        rows[k] = token.format(k=k).encode() + rows[k][rows[k].index(b","):]
+    elif kind == "line":
+        rows.insert(k, token.encode() + b"\n")
+    elif kind == "byte":
+        rows[k] = rows[k][:1] + token + rows[k][1:]
+    elif kind == "crlf":
+        rows[k] = rows[k][:-1] + b"\r\n"
+    return rows
+
+
+_CASES = ([("value", t) for t in _TOKENS] + [("line", t) for t in _LINES]
+          + [("byte", t) for t in _BYTES] + [("crlf", None)]
+          + [("index", t) for t in ["0{k}", "+{k}", "{k}1", " {k}", "-{k}", ""]])
+
+
+def _same_outcome(path) -> bool:
+    return _outcome(read_record, path) == _outcome(ecgio._read_rows, path)
+
+
+@pytest.mark.parametrize("where", ["first", "last", "straddling"])
+@pytest.mark.parametrize("kind, token", _CASES)
+def test_block_parser_agrees_on_every_listed_fault(tmp_path, kind, token, where):
+    # the same samples, or the same exception class with the same text; a
+    # straddling row crosses the end of the first parse block
+    head = _head()
+    rows = _rows([5, -7] + _LONG if where == "straddling" else [5, -7, 12])
+    k = {"first": 0, "last": len(rows) - 1,
+         "straddling": _row_at(head, rows, len(head) + ecgio._BLOCK)}[where]
+    path = tmp_path / "r.csv"
+    path.write_bytes(head + b"".join(_mutate(rows, k, kind, token)))
+    assert _same_outcome(path)
+
+
+@pytest.mark.parametrize("subject", _SUBJECTS)
+@pytest.mark.parametrize("tail", ["", "no-final-newline", "crlf-all"])
+def test_block_parser_agrees_on_headers_and_line_ends(tmp_path, subject, tail):
+    data = _head(subject) + b"".join(_rows([5, -7, 12]))
+    if tail == "no-final-newline":
+        data = data[:-1]
+    elif tail == "crlf-all":
+        data = data.replace(b"\n", b"\r\n")
+    path = tmp_path / "r.csv"
+    path.write_bytes(data)
+    assert _same_outcome(path)
+
+
+@st.composite
+def _mutated_records(draw):
+    """A canonical record, sometimes long enough to fill several parse
+    blocks, as bytes with one random fault, often at a block edge."""
+    values = draw(st.lists(st.integers(-2000, 2000) | st.integers(-2**63, 2**63 - 1),
+                           min_size=1, max_size=8))
+    if draw(st.booleans()):
+        values += _LONG
+    head = _head(draw(st.sampled_from(_SUBJECTS)))
+    rows = _rows(values)
+    edge = len(head) + ecgio._BLOCK * draw(st.integers(1, 2))
+    k = draw(st.sampled_from([_row_at(head, rows, edge)]) | st.integers(0, len(rows) - 1))
+    kind, token = draw(st.sampled_from(_CASES + [("none", None)] * 4))
+    data = bytearray(head + b"".join(_mutate(rows, k, kind, token)))
+    near = st.integers(0, len(data) - 1)
+    if len(data) > edge:
+        near |= st.integers(edge - 24, min(edge + 24, len(data) - 1))
+    fault = draw(st.sampled_from(["none", "flip", "cut", "no-final-newline"]))
+    if fault == "flip":
+        data[draw(near)] = draw(st.integers(0, 255))
+    elif fault == "cut":
+        at = draw(near)
+        del data[at:at + draw(st.integers(0, 40))]
+    elif fault == "no-final-newline" and data.endswith(b"\n"):
+        del data[-1]
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_mutated_records())
+def test_block_parser_reads_what_the_row_parser_reads(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("mutated") / "r.csv"
+    path.write_bytes(data)
+    assert _same_outcome(path)
+
+
+def test_read_record_peak_memory_stays_near_its_samples(tmp_path):
+    # a parse that splits the whole body at once needs several times the
+    # samples' bytes; the block parser needs the samples and one block
+    path = tmp_path / "r.csv"
+    rng = np.random.default_rng(5)
+    write_record(EcgRecord("s", "a", 512, rng.integers(-300, 1300, 600 * 512)), path)
+    tracemalloc.start()
+    try:
+        samples = read_record(path).samples
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (600 * 512,)
+    assert peak <= 1.5 * samples.nbytes

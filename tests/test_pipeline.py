@@ -14,17 +14,18 @@ from hypothesis import strategies as st
 
 import ecgauth
 from ecgauth.beatmath import (DctMatrix, cluster_ranks, dct_features,
-                              kaiser_weights, weighted_average)
+                              kaiser_weights, pearson, weighted_average)
 from ecgauth.ecgio import EcgRecord, read_record
 from ecgauth.enroll import PipelineParams
-from ecgauth.errors import ContractError
+from ecgauth.errors import ContractError, ZeroVarianceError
 from ecgauth.evaluation import _replay
 from ecgauth.qrs import N_WINDOW, RecordBeats, record_beats
 from ecgauth.pipeline import (KIND_NEGATIVE, KIND_POSITIVE, KIND_REJECTED,
                               KIND_TRANSITION, STATE_AUTHENTICATED, STATE_LOCKED,
                               FeatureStream, TemplatePack, VerificationPipeline,
-                              collect_features, replay_login, stream_record,
-                              write_timeline_csv)
+                              _prescreen_window, collect_features, correlation_at_least,
+                              prescreen_accepts,
+                              replay_login, stream_record, write_timeline_csv)
 from helpers import beat_shape, constant_margin_svm, make_beat, tiny_model
 
 PARAMS = PipelineParams()
@@ -386,3 +387,100 @@ def test_pipeline_imports_no_enroll():
     loaded = out.stdout.strip()
     assert "'ecgauth.pipeline'" in loaded
     assert "'ecgauth.enroll'" not in loaded
+
+
+# -- batched prescreen ---------------------------------------------------------
+
+@st.composite
+def _prescreen_cases(draw):
+    """(windows, pack, r_min): windows of every kind the prescreen meets,
+    some built so that their r sits within a few ulps of r_min, and an
+    amplitude gate that some windows touch exactly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    template = beat_shape() * draw(st.sampled_from([1.0, 1e-3, 1e6]))
+    template += draw(st.sampled_from([0.0, 50.0, -1e4]))
+    windows = []
+    for kind in draw(st.lists(st.sampled_from(["beat", "noise", "flat", "offset", "huge",
+                                               "tiny", "nan", "rounded"]),
+                              min_size=1, max_size=12)):
+        noise = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), N_WINDOW)
+        w = rng.uniform(-2.0, 2.0) * template + noise
+        if kind == "noise":
+            w = noise
+        elif kind == "flat":
+            w = np.full(N_WINDOW, rng.choice([0.0, 7.0, 0.1, -1e300]))
+        elif kind == "offset":  # a large offset over a small spread
+            w = beat_shape() * 1e-6 + noise * 1e-9 + 10.0 ** rng.uniform(3, 12)
+        elif kind == "huge":
+            w = w * 1e300
+        elif kind == "tiny":
+            w = w * 1e-300
+        elif kind == "nan":
+            w[rng.integers(N_WINDOW)] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == "rounded":
+            w = np.round(beat_shape() + noise)
+        windows.append(w)
+    windows = np.array(windows)
+    # r_min a few ulps from one window's own r, or from anywhere in (0, 1)
+    r_min = draw(st.floats(0.01, 0.99))
+    near = draw(st.integers(0, len(windows) - 1))
+    try:
+        r = pearson(windows[near], template, y_mean=float(template.mean()),
+                    y_sdev=float(template.std(ddof=1)))
+    except ZeroVarianceError:
+        r = None
+    if r is not None and 0.0 < r < 1.0 and draw(st.booleans()):
+        r_min = r
+        for _ in range(draw(st.integers(0, 3))):
+            r_min = np.nextafter(r_min, draw(st.sampled_from([0.0, 1.0])))
+        r_min = float(r_min)
+    # the gate at one window's exact minimum and another's exact maximum
+    finite = [w for w in windows if np.isfinite(w).all()]
+    lo, hi = -1e9, 1e9
+    if finite and draw(st.booleans()):
+        lo = float(finite[draw(st.integers(0, len(finite) - 1))].min())
+        hi = float(finite[draw(st.integers(0, len(finite) - 1))].max())
+    if not lo < hi:
+        lo, hi = -1e9, 1e9
+    return windows, TemplatePack.build(template, lo, hi), r_min
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # windows built to overflow
+@settings(max_examples=300, deadline=None)
+@given(case=_prescreen_cases())
+def test_batched_prescreen_decides_every_beat_as_prescreen_window_does(case):
+    windows, pack, r_min = case
+    [accepts] = prescreen_accepts(windows, [pack], r_min)
+    assert accepts.tolist() == [_prescreen_window(w, pack, r_min) is None for w in windows]
+
+
+def test_batched_prescreen_takes_every_pack_at_once():
+    rng = np.random.default_rng(4)
+    windows = beat_shape() * rng.uniform(0.5, 1.5, (30, 1)) + rng.normal(0.0, 80.0, (30, N_WINDOW))
+    packs = [TemplatePack.build(beat_shape() + rng.normal(0.0, s, N_WINDOW), -500.0, hi)
+             for s, hi in ((1.0, 2000.0), (200.0, 2000.0), (1.0, 1100.0))]
+    got = prescreen_accepts(windows, packs, 0.9)
+    assert got.tolist() == [[_prescreen_window(w, p, 0.9) is None for w in windows]
+                            for p in packs]
+    assert len({row.tobytes() for row in got}) == 3  # each pack decides differently
+
+
+def _pearson_at_least(row, template, mean, sdev, r_min) -> bool:
+    try:
+        return pearson(row, template, y_mean=mean, y_sdev=sdev) >= r_min
+    except ZeroVarianceError:
+        return False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rows built to overflow
+def test_correlation_kernel_is_false_wherever_pearson_raises():
+    v = beat_shape()
+    rows = np.array([v, np.full(N_WINDOW, 3.0), v * 1e300, v + 1e12])
+    # a constant template (sdev 0), one whose deviation overflows, and a beat
+    templates = [np.full(N_WINDOW, 2.0), v * 1e300, v]
+    means = [2.0, float((v * 1e300).mean()), float(v.mean())]
+    sdevs = [0.0, float("inf"), float(v.std(ddof=1))]
+    got = correlation_at_least(rows, templates, means, sdevs, 0.5)
+    assert got.tolist() == [[_pearson_at_least(row, t, m, s, 0.5) for row in rows]
+                            for t, m, s in zip(templates, means, sdevs)]
+    assert got[2].tolist() == [True, False, False, True]  # v * 1e300 overflows sx

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -189,3 +193,70 @@ def test_training_contract_errors():
         train_svm(np.zeros((1, 2)), np.array([1.0]))
     with pytest.raises(ContractError):
         train_svm(np.zeros(4), np.ones(4))  # 1-D features
+
+
+# -- pins -----------------------------------------------------------------------
+
+def _pin_problem(name):
+    """(x, y) of a named pinned problem."""
+    if name.startswith("random"):
+        seed, n, m = {"random-a": (0, 60, 4), "random-b": (1, 150, 12),
+                      "random-c": (2, 300, 40)}[name]
+        rng = np.random.default_rng(seed)
+        y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+        x = rng.normal(size=(n, m)) + 0.8 * y[:, None] * rng.normal(size=m)
+        return x, y
+    if name == "budget":
+        # random labels on 5 features: 10,000 steps, the budget at 200 rows
+        rng = np.random.default_rng(205)
+        x = rng.normal(size=(200, 5))
+        return x, np.where(rng.random(200) < 0.5, 1.0, -1.0)
+    # every row twice, once per label: the first pair is (0, 40), two equal
+    # rows, so its squared distance 0 is clamped to 1e-12
+    base = np.random.default_rng(7).normal(size=(40, 3))
+    return np.vstack([base, base]), np.repeat([1.0, -1.0], 40)
+
+
+def _fit_digest(x, y) -> str:
+    svm, info = train_svm(x, y)
+    h = hashlib.sha256()
+    for a in (svm.mu, svm.sigma, svm.w):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    h.update(float(svm.b).hex().encode())
+    h.update(json.dumps(info, sort_keys=True).encode())
+    return h.hexdigest()[:24]
+
+
+_PINS = {
+    "random-a": "41dfe6a7a099dae0402bc8c9",
+    "random-b": "66188d706a8f3b1c3451c106",
+    "random-c": "2f46a7c6744fb67b59996751",
+    "budget": "7342300134e45b411394f5a4",
+    "duplicates": "0939cc6c157b93e51326a97f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINS))
+def test_fits_equal_their_pins_bit_for_bit(name):
+    # the digests cover mu, sigma, w, the bias and the diagnostics dict, as
+    # the solver without its pair cache computed them
+    assert _fit_digest(*_pin_problem(name)) == _PINS[name]
+
+
+def test_pair_cache_is_freed_when_the_fit_returns():
+    rng = np.random.default_rng(11)
+    n = 4000
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    x = rng.normal(size=(n, 6)) + 0.7 * y[:, None]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        svm, info = train_svm(x, y)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the fit cached more pairs than fit in what it leaves behind, which is
+    # the model and its diagnostics: less than one cached n-vector
+    assert info["steps"] > 64
+    assert peak - before > 64 * 8 * n
+    assert after - before < 8 * n
