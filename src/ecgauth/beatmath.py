@@ -52,35 +52,47 @@ def pearson(x, y, y_mean: float | None = None, y_sdev: float | None = None) -> f
 def _linkage_ranks(dist):
     # Greedy average linkage on the full matrix, which pairwise_euclidean
     # makes exactly symmetric (numpy forms x @ x.T as one symmetric product).
+    # The matrix is held flat, row i at d[i*b:i*b+b] and column i at d[i::b].
     # The diagonal and every merged-away cluster hold inf, so each merge is
     # one argmin; the first row-major minimum of a symmetric matrix lies in
     # the upper triangle at the lowest (i, j), the buffer-order tie rule. A
     # merged cluster keeps the lower slot, so slot i is also the smallest
-    # buffer index inside it and the older beat of a singleton pair.
+    # buffer index inside it and the older beat of a singleton pair. Sizes
+    # are floats, the values numpy would convert them to, so each row is the
+    # same Lance-Williams arithmetic. Ranks are a permutation of 1..b, so
+    # once at most one beat is left unranked the merges stop: that beat
+    # takes rank b whenever it would have joined.
     b = dist.shape[0]
-    d = dist.copy()
-    np.fill_diagonal(d, np.inf)
-    size = np.ones(b, dtype=np.int64)
-    ranks = np.zeros(b, dtype=np.int64)
+    d = dist.ravel().copy()
+    d[::b + 1] = np.inf
+    argmin = d.argmin
+    inf = np.inf
+    size = [1.0] * b
+    ranks = [0] * b
     next_rank = 1
     for _step in range(b - 1):
-        i, j = divmod(int(np.argmin(d)), b)
-        si, sj = size[i], size[j]
-        if si == 1:
+        i, j = divmod(int(argmin()), b)
+        si = size[i]
+        sj = size[j]
+        if si == 1.0:
             ranks[i] = next_rank
             next_rank += 1
-        if sj == 1:
+        if sj == 1.0:
             ranks[j] = next_rank
             next_rank += 1
-        if next_rank > b:
-            break  # every beat is ranked; the remaining merges rank nothing
-        row = (si * d[i] + sj * d[j]) / (si + sj)
-        d[i] = row
-        d[:, i] = row
-        d[j] = np.inf
-        d[:, j] = np.inf
+        if next_rank >= b:
+            break
+        ri = i * b
+        rj = j * b
+        row = (si * d[ri:ri + b] + sj * d[rj:rj + b]) / (si + sj)
+        d[ri:ri + b] = row
+        d[i::b] = row
+        d[rj:rj + b] = inf
+        d[j::b] = inf
         size[i] = si + sj
-    return ranks
+    if next_rank == b:
+        ranks[ranks.index(0)] = b
+    return np.array(ranks, dtype=np.int64)
 
 
 def pairwise_euclidean(vectors: np.ndarray) -> np.ndarray:
@@ -128,16 +140,17 @@ def _batched_linkage_ranks(d: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     # _linkage_ranks on K padded (B, B) matrices at once: one argmin per
     # merge step across the live buffers, then the same Lance-Williams rows.
     # sizes is sorted descending and the pad and diagonal hold inf. A buffer
-    # is done once all its beats are ranked; the buffers up to the last one
-    # not done stay live, and each still holds two clusters or more (it is
-    # no smaller than that one and has had as many merges), so a done buffer
-    # merges on harmlessly: with no singleton left its ranks cannot change.
+    # is done once at most one of its beats is unranked; that beat takes
+    # rank size at the end, as in _linkage_ranks. The buffers up to the last
+    # one not done stay live, and each still holds two clusters or more:
+    # the one not done has two singletons left, and the others are no
+    # smaller and have had as many merges. So a done buffer merges on
+    # harmlessly: its one unranked beat, if it joins, takes rank size.
     k_all, b, _ = d.shape
     size = np.ones((k_all, b), dtype=np.int64)
     ranks = np.zeros((k_all, b), dtype=np.int64)
-    ranks[sizes == 1, 0] = 1
-    next_rank = np.where(sizes == 1, 2, 1)
-    done = next_rank > sizes
+    next_rank = np.ones(k_all, dtype=np.int64)
+    done = next_rank >= sizes
     while not done.all():
         n = int(np.flatnonzero(~done)[-1]) + 1
         live = d[:n]
@@ -149,14 +162,15 @@ def _batched_linkage_ranks(d: np.ndarray, sizes: np.ndarray) -> np.ndarray:
             fresh = joined == 1
             ranks[rows[fresh], slot[fresh]] = next_rank[:n][fresh]
             next_rank[:n] += fresh
-        done[:n] = next_rank[:n] > sizes[:n]
+        done[:n] = next_rank[:n] >= sizes[:n]
         row = (si[:, None] * live[rows, i] + sj[:, None] * live[rows, j]) / (si + sj)[:, None]
         live[rows, i] = row
         live[rows, :, i] = row
         live[rows, j] = np.inf
         live[rows, :, j] = np.inf
         size[rows, i] = si + sj
-    return ranks
+    unranked = (ranks == 0) & (np.arange(b) < sizes[:, None])
+    return np.where(unranked, sizes[:, None], ranks)
 
 
 def batched_cluster_ranks(beats, starts, stops) -> list[np.ndarray]:
@@ -167,9 +181,9 @@ def batched_cluster_ranks(beats, starts, stops) -> list[np.ndarray]:
     buffers are then ranked LINKAGE_BLOCK at a time, largest first, as one
     inf-padded (K, B, B) array, with one argmin across all live buffers per
     merge step and the Lance-Williams arithmetic and first-row-major tie
-    rule of _linkage_ranks. On one buffer it is about five times slower
-    than cluster_ranks, so the live path keeps cluster_ranks; tests pin the
-    two together.
+    rule of _linkage_ranks. On one buffer of the live stream (22 beats on
+    average) it is about five and a half times slower than cluster_ranks,
+    so the live path keeps cluster_ranks; tests pin the two together.
 
     Raises:
         ContractError: not a (T, N) stack, a buffer outside it or empty, or

@@ -133,24 +133,38 @@ def _check_row(line: str, expected: int) -> None:
         raise ParseError(f"line {lineno}: {text!r} is not written as '{n},{adc}'")
 
 
-def _iter_rows(fh) -> Iterator[int]:
+def _utf8_line(line: str, path) -> str:
+    """line, unless it holds a byte that is not UTF-8: the row parse reads
+    with errors="surrogateescape", which turns such a byte into a lone
+    surrogate that only strict encoding refuses."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+    return line
+
+
+def _iter_rows(fh, path) -> Iterator[int]:
     # a row is accepted as is only when it equals the row write_record
-    # writes for its value; anything else goes to _check_row
+    # writes for its value, which holds no surrogate; anything else goes
+    # to _check_row once its line is known to be UTF-8
     for expected, line in enumerate(fh):
         try:
             adc = int(line.partition(",")[2])
         except ValueError:
             adc = None
         if line != f"{expected},{adc}\n" or not _INT64_MIN <= adc <= _INT64_MAX:
-            _check_row(line, expected)
+            _check_row(_utf8_line(line, path), expected)
         yield adc
 
 
 def _read_rows(path) -> EcgRecord:
-    """The row-by-row parse, which names the first fault in the file."""
-    with _utf8_text(path) as fh:
-        fs, subject, session = _read_header([fh.readline() for _ in range(4)])
-        samples = np.fromiter(_iter_rows(fh), dtype=np.int64)
+    """The row-by-row parse, which names the first fault in the file by
+    line; the 4 header lines are checked for UTF-8 before their fields."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        head = [_utf8_line(fh.readline(), path) for _ in range(4)]
+        fs, subject, session = _read_header(head)
+        samples = np.fromiter(_iter_rows(fh, path), dtype=np.int64)
     if not samples.size:
         raise ParseError("line 5: no sample rows after the header")
     return EcgRecord(subject_id=subject, session_id=session, fs=fs, samples=samples)

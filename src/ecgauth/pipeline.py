@@ -183,6 +183,15 @@ class FeatureStream:
 
     The live path. collect_features computes the same sequence for a whole
     record at once.
+
+    The buffered windows are the last len(_times) rows before _end of one
+    C-contiguous (cap, N_WINDOW) array, and each beat ranks and averages
+    the view of those rows, so evicting a beat moves no data. When a beat
+    finds the array full, the kept rows move to the front; if the buffer
+    the beat completes would fill more than half the array, they move to a
+    new array of twice that buffer's rows instead. So the array holds at
+    most max(64, 2 x the largest buffer) rows, and the copies come to
+    under two rows a beat on average.
     """
 
     def __init__(self, pack: TemplatePack, params: PipelineParams):
@@ -190,7 +199,8 @@ class FeatureStream:
         self.params = params
         self._dct = DctMatrix.build(n=N_WINDOW, m=params.m)
         self._times: deque[float] = deque()
-        self._windows: deque[np.ndarray] = deque()
+        self._windows = np.empty((64, N_WINDOW))
+        self._end = 0
         self._last_t = -np.inf
 
     def process(self, window: np.ndarray, t: float):
@@ -204,17 +214,27 @@ class FeatureStream:
         reason = _prescreen_window(window, self.pack, self.params.r_min)
         if reason is not None:
             return reason, None, 0
-        while self._times and t - self._times[0] > self.params.t_avg:
-            self._times.popleft()
-            self._windows.popleft()
-        self._times.append(t)
-        self._windows.append(window)
-        stack = np.stack(self._windows)
+        times = self._times
+        while times and t - times[0] > self.params.t_avg:
+            times.popleft()
+        times.append(t)
+        n = len(times)
+        buf = self._windows
+        end = self._end
+        if end == buf.shape[0]:
+            if 2 * n > buf.shape[0]:
+                self._windows = np.empty((2 * n, N_WINDOW))
+            self._windows[:n - 1] = buf[end - n + 1:end]
+            buf = self._windows
+            end = n - 1
+        buf[end] = window
+        self._end = end = end + 1
+        stack = buf[end - n:end]
         ranks = cluster_ranks(stack)
-        weights = kaiser_weights(stack.shape[0], self.params.beta)[ranks - 1]
+        weights = kaiser_weights(n, self.params.beta)[ranks - 1]
         avg = weighted_average(stack, weights)
         feats = dct_features(avg, self._dct)
-        return None, feats, stack.shape[0]
+        return None, feats, n
 
 
 class _LoginState:

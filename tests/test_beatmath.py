@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal.windows import kaiser as scipy_kaiser
 
-from ecgauth.beatmath import (LINKAGE_BLOCK, DctMatrix, batched_cluster_ranks,
-                              cluster_ranks, dct_features, kaiser_weights,
-                              pairwise_euclidean, pearson, weighted_average)
+from ecgauth.beatmath import (LINKAGE_BLOCK, DctMatrix, _batched_linkage_ranks,
+                              batched_cluster_ranks, cluster_ranks, dct_features,
+                              kaiser_weights, pairwise_euclidean, pearson,
+                              weighted_average)
 from ecgauth.errors import ContractError, ZeroVarianceError
 
 
@@ -243,6 +244,49 @@ def test_cluster_ranks_outlier_gets_last_rank_and_min_weight():
         assert ranks[-1] == b
         weights = kaiser_weights(b, 6.0)[ranks - 1]
         assert weights[-1] == weights.min()
+
+
+def _outlier_last(b):
+    # a tight cluster and one far beat, which joins only at the final merge
+    x = np.random.default_rng(b).standard_normal((b, 4))
+    x[-1] += 100.0
+    return x
+
+
+@pytest.mark.parametrize("x", [
+    np.array([[0.0, 0.0], [3.0, 4.0]]),
+    np.array([[0.0], [1.0], [10.0]]),  # the last beat is the one left unranked
+    np.array([[0.0], [10.0], [11.0]]),  # the first beat is
+    np.ones((5, 3)),
+    _outlier_last(3),
+    _outlier_last(9),
+], ids=["b2", "b3-last-left", "b3-first-left", "all-equal", "outlier-b3", "outlier-b9"])
+def test_ranks_stop_at_the_last_unranked_beat(x):
+    # the merges stop once one beat is left unranked, which takes rank b
+    b = x.shape[0]
+    want = linkage_ranks_scan(x)
+    assert np.array_equal(want, linkage_ranks_oracle(x))
+    assert np.array_equal(cluster_ranks(x), want)
+    [batched] = batched_cluster_ranks(x, [0], [b])
+    assert np.array_equal(batched, want)
+
+
+def test_batched_early_stop_fills_only_real_slots():
+    # buffers of different sizes share one padded block: every pad slot
+    # keeps rank 0, and every buffer's ranks are its own permutation
+    x = np.concatenate([_outlier_last(9), np.ones((4, 4)), _outlier_last(3)])
+    starts, stops = [0, 9, 13, 9], [9, 13, 16, 10]
+    for s, e, ranks in zip(starts, stops, batched_cluster_ranks(x, starts, stops)):
+        assert np.array_equal(ranks, cluster_ranks(x[s:e]))
+    sizes = np.array([9, 4, 3, 1])
+    d = np.full((4, 9, 9), np.inf)
+    for k, (s, e) in enumerate(zip(starts, stops)):
+        d[k, :e - s, :e - s] = pairwise_euclidean(x[s:e])
+    d[:, np.arange(9), np.arange(9)] = np.inf
+    ranks = _batched_linkage_ranks(d, sizes)
+    for r, n in zip(ranks, sizes):
+        assert sorted(r[:n].tolist()) == list(range(1, n + 1))
+        assert not r[n:].any()
 
 
 @st.composite

@@ -283,6 +283,20 @@ def _same_outcome(path) -> bool:
     return _outcome(read_record, path) == _outcome(ecgio._read_rows, path)
 
 
+@pytest.mark.parametrize("gap", [10, 1_000, 3_000])
+def test_first_fault_by_line_wins_over_a_later_byte_that_is_not_utf8(tmp_path, gap):
+    # the bad row comes first whether or not the bad byte lies in the same
+    # stretch of the file that a text reader would decode ahead of it
+    rows = _rows(range(gap + 10))
+    rows[1] = b"1,x\n"
+    rows[1 + gap] = rows[1 + gap][:1] + b"\xff" + rows[1 + gap][1:]
+    path = tmp_path / "r.csv"
+    path.write_bytes(_head() + b"".join(rows))
+    for read in (read_record, ecgio._read_rows):
+        with pytest.raises(ParseError, match="^line 6: non-integer field in '1,x'$"):
+            read(path)
+
+
 @pytest.mark.parametrize("where", ["first", "last", "straddling"])
 @pytest.mark.parametrize("kind, token", _CASES)
 def test_block_parser_agrees_on_every_listed_fault(tmp_path, kind, token, where):

@@ -86,6 +86,40 @@ def test_stream_keeps_exactly_the_recent_beats():
         assert np.array_equal(feats, expected)
 
 
+def test_stream_buffer_grows_and_compacts_within_its_bound():
+    # a 60 s buffer at about 1 beat/s, then 2 beats/s, then 1 beat per 2 s:
+    # buffers pass 64 rows, the array compacts and grows again and again,
+    # and every feature stays bit-equal to the np.stack reference
+    params = dataclasses.replace(PARAMS, t_avg=60.0)
+    stream = FeatureStream(tiny_model(template=beat_shape()).pack, params)
+    v = beat_shape()
+    rng = np.random.default_rng(6)
+    dct = DctMatrix.build(N_WINDOW, params.m)
+    kept: list[tuple[float, np.ndarray]] = []
+    largest = 0
+    caps = []
+    compactions = 0
+    t = 0.0
+    for step in [1.0] * 250 + [0.5] * 250 + [2.0] * 150:
+        t += step * rng.uniform(0.9, 1.1)
+        window = v + rng.normal(0.0, 2.0, v.size)
+        end = stream._end
+        reason, feats, contributing = stream.process(window, t)
+        assert reason is None
+        kept = [(s, w) for s, w in kept if t - s <= params.t_avg] + [(t, window)]
+        assert contributing == len(kept)
+        stack = np.stack([w for _, w in kept])
+        weights = kaiser_weights(len(kept), params.beta)[cluster_ranks(stack) - 1]
+        assert np.array_equal(feats, dct_features(weighted_average(stack, weights), dct))
+        largest = max(largest, len(kept))
+        cap = stream._windows.shape[0]
+        assert cap <= max(64, 2 * largest)
+        compactions += caps[-1:] == [cap] and stream._end <= end
+        caps.append(cap)
+    assert largest > 64
+    assert len(set(caps)) >= 3 and compactions >= 3
+
+
 def test_single_beat_features_are_plain_transform():
     v = beat_shape()
     stream = _accepting_stream()
