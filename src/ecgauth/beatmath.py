@@ -2,7 +2,9 @@
 
 Pearson correlation for prescreening, average-linkage rank assignment,
 Kaiser-window weights keyed by rank, weighted averaging, and the truncated
-orthonormal DCT-II used as the feature transform.
+orthonormal DCT-II used as the feature transform. row_dot is the one
+row-wise reduction of the prescreen correlation and the SVM margin, on one
+beat and on a whole record alike.
 """
 
 from __future__ import annotations
@@ -15,12 +17,26 @@ import numpy as np
 from .errors import ContractError, ZeroVarianceError
 
 
+def row_dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, one per row of the broadcast shape.
+
+    numpy's einsum reduces every row with the same loop over its own
+    elements and allocates no (rows, N) temporary, so a row's bits never
+    depend on how many rows are reduced together. A matrix product does
+    not promise that: BLAS sums one row in another order than many.
+    """
+    return np.einsum("...j,...j->...", a, b)
+
+
 def pearson(x, y, y_mean: float | None = None, y_sdev: float | None = None) -> float:
     """Sample Pearson correlation between two equal-length vectors.
 
     The y-side mean and sample standard deviation (ddof=1) may be supplied
     precomputed, which is how the verification loop avoids recomputing
-    template statistics on every beat.
+    template statistics on every beat. Each vector is centred on its own
+    mean and every sum is a row_dot, the arithmetic that
+    pipeline.correlation_at_least applies to a whole record at once, so the
+    two give the same r bit for bit.
 
     Raises:
         ContractError: mismatched shapes or fewer than 2 points.
@@ -34,18 +50,18 @@ def pearson(x, y, y_mean: float | None = None, y_sdev: float | None = None) -> f
     if n < 2:
         raise ContractError("pearson needs at least 2 points")
     dx = x - x.mean()
-    sx = math.sqrt(float(dx @ dx))
+    sx = math.sqrt(float(row_dot(dx, dx)))
     if not (sx > 0.0) or not math.isfinite(sx):
         raise ZeroVarianceError("x is constant; correlation undefined")
     if y_mean is None or y_sdev is None:
         dy = y - y.mean()
-        sy = math.sqrt(float(dy @ dy))
+        sy = math.sqrt(float(row_dot(dy, dy)))
     else:
         dy = y - y_mean
         sy = y_sdev * math.sqrt(n - 1)
     if not (sy > 0.0) or not math.isfinite(sy):
         raise ZeroVarianceError("y is constant; correlation undefined")
-    r = float(dx @ dy) / (sx * sy)
+    r = float(row_dot(dx, dy)) / (sx * sy)
     return min(1.0, max(-1.0, r))
 
 
@@ -105,6 +121,14 @@ def pairwise_euclidean(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
+def _distances(x: np.ndarray) -> np.ndarray:
+    """pairwise_euclidean(x), refused unless every distance is finite."""
+    dist = pairwise_euclidean(x)
+    if not np.isfinite(dist).all():
+        raise ContractError("beat distances overflow float64")
+    return dist
+
+
 def cluster_ranks(beats) -> np.ndarray:
     """Assign agglomeration ranks 1..B via average-linkage clustering.
 
@@ -125,10 +149,7 @@ def cluster_ranks(beats) -> np.ndarray:
         raise ContractError("cluster_ranks needs finite beats")
     if x.shape[0] == 1:
         return np.array([1], dtype=np.int64)
-    dist = pairwise_euclidean(x)
-    if not np.isfinite(dist).all():
-        raise ContractError("beat distances overflow float64")
-    return _linkage_ranks(dist)
+    return _linkage_ranks(_distances(x))
 
 
 # Buffers ranked together by batched_cluster_ranks: its padded distance
@@ -210,10 +231,7 @@ def batched_cluster_ranks(beats, starts, stops) -> list[np.ndarray]:
         d = np.full((block.shape[0], b, b), np.inf)
         for k, (idx, n) in enumerate(zip(block.tolist(), block_sizes.tolist())):
             if n > 1:
-                dist = pairwise_euclidean(x[starts[idx]:stops[idx]])
-                if not np.isfinite(dist).all():
-                    raise ContractError("beat distances overflow float64")
-                d[k, :n, :n] = dist
+                d[k, :n, :n] = _distances(x[starts[idx]:stops[idx]])
         diagonal = np.arange(b)
         d[:, diagonal, diagonal] = np.inf
         for idx, r, n in zip(block.tolist(), _batched_linkage_ranks(d, block_sizes),

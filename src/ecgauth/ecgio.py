@@ -84,17 +84,20 @@ def _utf8_text(path):
 
 
 def _header_value(line: str, key: str, lineno: int) -> str:
+    if line == "":
+        raise FormatError("file truncated before the 4-line header ends")
     name, sep, value = line.rstrip("\n").partition(",")
     if not sep or name != key:
         raise FormatError(f"line {lineno}: expected '{key},<value>', got {line.rstrip()!r}")
     return value
 
 
-def _read_header(lines: list[str]) -> tuple[int, str, str]:
-    """fs, subject and session from the file's first 4 lines."""
-    if any(line == "" for line in lines):
-        raise FormatError("file truncated before the 4-line header ends")
-    fs_text = _header_value(lines[0], "fs_hz", 1)
+def _read_header(lines: Iterator[str]) -> tuple[int, str, str]:
+    """fs, subject and session from the file's first 4 lines, taken from
+    lines one at a time: each line's fault is raised before the next line
+    is read, so a lazy iterator that checks a line's UTF-8 as it yields it
+    names the first fault by line."""
+    fs_text = _header_value(next(lines), "fs_hz", 1)
     try:
         fs = int(fs_text)
     except ValueError:
@@ -103,10 +106,13 @@ def _read_header(lines: list[str]) -> tuple[int, str, str]:
         raise FormatError(f"line 1: fs_hz must be positive, got {fs}")
     if fs_text != str(fs):
         raise FormatError(f"line 1: fs_hz value {fs_text!r} is not written as {fs}")
-    subject = _header_value(lines[1], "subject", 2)
-    session = _header_value(lines[2], "session", 3)
-    if lines[3].rstrip("\n") != "n,adc":
-        raise FormatError(f"line 4: expected 'n,adc', got {lines[3].rstrip()!r}")
+    subject = _header_value(next(lines), "subject", 2)
+    session = _header_value(next(lines), "session", 3)
+    columns = next(lines)
+    if columns == "":
+        raise FormatError("file truncated before the 4-line header ends")
+    if columns.rstrip("\n") != "n,adc":
+        raise FormatError(f"line 4: expected 'n,adc', got {columns.rstrip()!r}")
     return fs, subject, session
 
 
@@ -160,10 +166,10 @@ def _iter_rows(fh, path) -> Iterator[int]:
 
 def _read_rows(path) -> EcgRecord:
     """The row-by-row parse, which names the first fault in the file by
-    line; the 4 header lines are checked for UTF-8 before their fields."""
+    line; each header line is checked for UTF-8, then for its field."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        head = [_utf8_line(fh.readline(), path) for _ in range(4)]
-        fs, subject, session = _read_header(head)
+        fs, subject, session = _read_header(_utf8_line(fh.readline(), path)
+                                            for _ in range(4))
         samples = np.fromiter(_iter_rows(fh, path), dtype=np.int64)
     if not samples.size:
         raise ParseError("line 5: no sample rows after the header")
@@ -246,7 +252,7 @@ def _read_blocks(path) -> EcgRecord | None:
         if any(not line.endswith(b"\n") or b"\r" in line for line in head):
             return None
         try:
-            fs, subject, session = _read_header([line.decode("utf-8") for line in head])
+            fs, subject, session = _read_header(line.decode("utf-8") for line in head)
         except (UnicodeDecodeError, FormatError):
             return None
         body = fh.tell()

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beatmath import (DctMatrix, batched_cluster_ranks, cluster_ranks, dct_features,
-                       kaiser_weights, pearson, weighted_average)
+                       kaiser_weights, pearson, row_dot, weighted_average)
 from .errors import ContractError, ZeroVarianceError
 from .qrs import N_WINDOW, RecordBeats, record_beats
 from .svm import LinearSvm
@@ -119,38 +119,23 @@ def correlation_at_least(rows: np.ndarray, templates: np.ndarray, means, sdevs,
                          r_min: float) -> np.ndarray:
     """[p, k] is whether pearson(rows[k], templates[p], y_mean=means[p],
     y_sdev=sdevs[p]) is at least r_min, False where it raises
-    ZeroVarianceError, bit for bit as the per-row calls decide.
+    ZeroVarianceError.
 
-    One matrix product gives every r. It sums in another order than
-    pearson, so its r can differ from pearson's by a few len(row) * 2**-52,
-    times max|row| / |row - row mean| where the row's mean rounds
-    differently. pearson decides the rows whose r lies within 1e-9 of r_min
-    on that scale, and the rows that are constant or whose spread or r is
-    not finite.
+    It is pearson's arithmetic on every row at once: each row is centred on
+    its own mean and every sum is a beatmath.row_dot, whose bits for a row
+    do not depend on how many rows are reduced together. So each r is
+    pearson's r bit for bit, and a row decides here as it does alone, with
+    no guard band around r_min and no per-row pearson call.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    templates = np.reshape(np.asarray(templates, dtype=np.float64), (-1, rows.shape[1]))
-    means = np.asarray(means, dtype=np.float64)
-    sdevs = np.asarray(sdevs, dtype=np.float64)
-    mins = rows.min(axis=1)
-    maxs = rows.max(axis=1)
-    sy = sdevs * math.sqrt(rows.shape[1] - 1)
+    templates = np.reshape(np.asarray(templates, dtype=np.float64), (-1, 1, rows.shape[1]))
+    means = np.asarray(means, dtype=np.float64)[:, None, None]
+    sy = np.asarray(sdevs, dtype=np.float64)[:, None] * math.sqrt(rows.shape[1] - 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dx = rows - rows.mean(axis=1, keepdims=True)
-        sx = np.sqrt(np.einsum("ij,ij->i", dx, dx))
-        r = ((templates - means[:, None]) @ dx.T) / (sy[:, None] * sx)
-        band = 1e-9 * (1.0 + np.maximum(np.abs(mins), np.abs(maxs)) / sx)
-        decided = ((np.abs(r - r_min) > band)
-                   & ((sx > 0.0) & np.isfinite(sx) & (mins < maxs))
-                   & ((sy > 0.0) & np.isfinite(sy))[:, None])
-    passes = decided & (r >= r_min)
-    for p, k in zip(*np.nonzero(~decided)):
-        try:
-            passes[p, k] = pearson(rows[k], templates[p], y_mean=float(means[p]),
-                                   y_sdev=float(sdevs[p])) >= r_min
-        except ZeroVarianceError:
-            pass
-    return passes
+        dx = rows - rows.mean(axis=-1, keepdims=True)
+        sx = np.sqrt(row_dot(dx, dx))
+        r = row_dot(templates - means, dx) / (sx * sy)
+    return (sx > 0.0) & np.isfinite(sx) & (sy > 0.0) & np.isfinite(sy) & (r >= r_min)
 
 
 def _prescreen_window(window: np.ndarray, pack: TemplatePack, r_min: float) -> str | None:
@@ -176,6 +161,14 @@ def prescreen_accepts(windows: np.ndarray, packs: list, r_min: float) -> np.ndar
     lo = np.array([p.amp_lo for p in packs])[:, None]
     hi = np.array([p.amp_hi for p in packs])[:, None]
     return correlated & ~((mins < lo) | (maxs > hi))
+
+
+def _buffer_features(stack: np.ndarray, ranks: np.ndarray, params: PipelineParams,
+                     dct: DctMatrix) -> np.ndarray:
+    """DCT features of a buffer averaged with the Kaiser weights of its
+    linkage ranks: the one feature step of both paths."""
+    weights = kaiser_weights(ranks.shape[0], params.beta)[ranks - 1]
+    return dct_features(weighted_average(stack, weights), dct)
 
 
 class FeatureStream:
@@ -230,11 +223,7 @@ class FeatureStream:
         buf[end] = window
         self._end = end = end + 1
         stack = buf[end - n:end]
-        ranks = cluster_ranks(stack)
-        weights = kaiser_weights(n, self.params.beta)[ranks - 1]
-        avg = weighted_average(stack, weights)
-        feats = dct_features(avg, self._dct)
-        return None, feats, n
+        return None, _buffer_features(stack, cluster_ranks(stack), self.params, self._dct), n
 
 
 class _LoginState:
@@ -262,14 +251,16 @@ class _LoginState:
                 emitted.append((expiry, STATE_LOCKED))
         return emitted
 
-    def positive(self, t: float) -> list[tuple[float, str]]:
+    def decide(self, t: float, positive: bool) -> list[tuple[float, str]]:
+        """Advance to t, then count the decision at t if it is positive."""
         emitted = self.advance(t)
-        self._newest.append(t)
-        if (self.state == STATE_LOCKED and len(self._newest) == self.n
-                and self._newest[0] > t - self.t_v):
-            self.state = STATE_AUTHENTICATED
-            self.transitions.append((t, STATE_AUTHENTICATED))
-            emitted.append((t, STATE_AUTHENTICATED))
+        if positive:
+            self._newest.append(t)
+            if (self.state == STATE_LOCKED and len(self._newest) == self.n
+                    and self._newest[0] > t - self.t_v):
+                self.state = STATE_AUTHENTICATED
+                self.transitions.append((t, STATE_AUTHENTICATED))
+                emitted.append((t, STATE_AUTHENTICATED))
         return emitted
 
 
@@ -334,14 +325,10 @@ class VerificationPipeline:
         if reason is not None:
             kind = KIND_REJECTED
             margin = None
-            self._transition_rows(self.login.advance(t))
         else:
             margin = self.model.svm.margin(feats)
             kind = KIND_POSITIVE if margin > 0.0 else KIND_NEGATIVE
-            if kind == KIND_POSITIVE:
-                self._transition_rows(self.login.positive(t))
-            else:
-                self._transition_rows(self.login.advance(t))
+        self._transition_rows(self.login.decide(t, kind == KIND_POSITIVE))
         self._counts[kind] += 1
         self.rows.append((t, kind, margin, contributing, self.login.state))
         return kind
@@ -400,8 +387,7 @@ def _accepted_features(times: np.ndarray, windows: np.ndarray, params: PipelineP
     ranks = batched_cluster_ranks(windows, starts, range(1, len(seq) + 1))
     features = np.empty((len(seq), params.m))
     for k, (s, r) in enumerate(zip(starts, ranks)):
-        weights = kaiser_weights(r.shape[0], params.beta)[r - 1]
-        features[k] = dct_features(weighted_average(windows[s:k + 1], weights), dct)
+        features[k] = _buffer_features(windows[s:k + 1], r, params, dct)
     return features
 
 
@@ -447,14 +433,10 @@ def replay_login(times: np.ndarray, positive: np.ndarray, duration_s: float,
     full streamed run.
     """
     login = _LoginState(t_v, n)
-    n_pos = 0
     for t, is_pos in zip(times, positive):
-        if is_pos:
-            login.positive(float(t))
-            n_pos += 1
-        else:
-            login.advance(float(t))
+        login.decide(float(t), is_pos)
     login.advance(duration_s)
+    n_pos = int(np.count_nonzero(positive))
     return Timeline(duration_s=duration_s, transitions=list(login.transitions),
                     n_positive=n_pos, n_negative=int(len(times) - n_pos))
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beatmath import row_dot
 from .errors import ContractError
 
 _GAP_RTOL = 1e-6
@@ -117,7 +118,13 @@ def _smo(x, y, cvec, max_steps, gap_rtol):
 
 @dataclass
 class LinearSvm:
-    """Trained classifier in standardized feature space."""
+    """Trained classifier in standardized feature space.
+
+    margins is the one margin formula, and margin is margins of one
+    feature vector. Each row is standardized and reduced alone by
+    beatmath.row_dot, so the live path's margin of a beat and a whole
+    record's margins agree bit for bit.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -125,12 +132,11 @@ class LinearSvm:
     b: float
 
     def margin(self, d) -> float:
-        v = (np.asarray(d, dtype=np.float64) - self.mu) / self.sigma
-        return float(v @ self.w + self.b)
+        return float(self.margins(d))
 
     def margins(self, x) -> np.ndarray:
         xs = (np.asarray(x, dtype=np.float64) - self.mu) / self.sigma
-        return xs @ self.w + self.b
+        return row_dot(xs, self.w) + self.b
 
 
 def train_svm(x, y) -> tuple[LinearSvm, dict]:

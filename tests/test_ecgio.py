@@ -297,6 +297,22 @@ def test_first_fault_by_line_wins_over_a_later_byte_that_is_not_utf8(tmp_path, g
             read(path)
 
 
+def test_header_fault_wins_over_a_truncated_header(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"fs_hz,x\nsubject,s\n")
+    for read in (read_record, ecgio._read_rows):
+        with pytest.raises(FormatError, match="^line 1: fs_hz value 'x' is not an integer$"):
+            read(path)
+
+
+def test_header_fault_wins_over_a_later_header_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_bytes(b"fs_hz,x\nsubject,\xff\nsession,a\nn,adc\n0,1\n")
+    for read in (read_record, ecgio._read_rows):
+        with pytest.raises(FormatError, match="^line 1: fs_hz value 'x' is not an integer$"):
+            read(path)
+
+
 @pytest.mark.parametrize("where", ["first", "last", "straddling"])
 @pytest.mark.parametrize("kind, token", _CASES)
 def test_block_parser_agrees_on_every_listed_fault(tmp_path, kind, token, where):

@@ -316,6 +316,20 @@ def test_collect_features_agrees_with_streaming(streamed3):
     assert int((margins > 0).sum()) == timeline.n_positive
 
 
+def test_streamed_margins_equal_the_whole_record_margins_bit_for_bit(streamed3, entries3):
+    # verify scores beat by beat, leave-one-out and enrollment score a whole
+    # record at once; an owner and an intruder record must score alike
+    model, owner, owner_timeline = streamed3
+    entry = next(e for e in entries3 if e.subject_id == "subj02" and e.role == "test")
+    intruder = read_record(entry.path)
+    for record, timeline in ((owner, owner_timeline), (intruder, stream_record(model, intruder))):
+        [batch] = collect_features(record_beats(record), [model.pack], model.params)
+        streamed = np.array([margin for _, kind, margin, _, _ in timeline.rows
+                             if kind in (KIND_POSITIVE, KIND_NEGATIVE)])
+        assert streamed.shape[0] == batch.features.shape[0] > 100
+        assert streamed.tobytes() == model.svm.margins(batch.features).tobytes()
+
+
 def _record(times, windows) -> RecordBeats:
     times = np.asarray(times, dtype=np.float64)
     return RecordBeats("unit", "s1", 512, times, np.asarray(windows, dtype=np.float64),
@@ -484,8 +498,23 @@ def _prescreen_cases(draw):
 @given(case=_prescreen_cases())
 def test_batched_prescreen_decides_every_beat_as_prescreen_window_does(case):
     windows, pack, r_min = case
+    want = [_prescreen_window(w, pack, r_min) is None for w in windows]
     [accepts] = prescreen_accepts(windows, [pack], r_min)
-    assert accepts.tolist() == [_prescreen_window(w, pack, r_min) is None for w in windows]
+    assert accepts.tolist() == want
+    assert [prescreen_accepts(w[None], [pack], r_min)[0, 0] for w in windows] == want
+    # each row's r has pearson's bits in a one-row call and in a many-row
+    # call: at r_min == r it passes, one ulp above it fails
+    many = np.concatenate([windows[::-1], windows])
+    stats = ([pack.template], [pack.mean], [pack.sdev])
+    for k, w in enumerate(windows):
+        try:
+            r = pearson(w, pack.template, y_mean=pack.mean, y_sdev=pack.sdev)
+        except ZeroVarianceError:
+            continue
+        if -1.0 < r < 1.0:
+            for at in (r, float(np.nextafter(r, 1.0))):
+                assert correlation_at_least(w[None], *stats, at)[0, 0] == (r >= at)
+                assert correlation_at_least(many, *stats, at)[0, len(windows) + k] == (r >= at)
 
 
 def test_batched_prescreen_takes_every_pack_at_once():

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from ecgauth.errors import ContractError
@@ -161,6 +163,23 @@ def test_margin_zero_rejects():
     model = LinearSvm(mu=np.zeros(2), sigma=np.ones(2), w=np.array([1.0, 0.0]), b=-1.0)
     assert model.margin([1.0, 5.0]) == 0.0
     assert model.margins([[1.0, 5.0]])[0] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64), m=st.integers(1, 80),
+       data=st.data())
+def test_a_rows_margin_has_the_same_bits_however_many_rows_are_scored(seed, rows, m, data):
+    # the live path scores one beat with margin, a whole record is scored
+    # with margins, and a slice starts at any row offset
+    rng = np.random.default_rng(seed)
+    model = LinearSvm(mu=rng.normal(0.0, 5.0, m), sigma=rng.uniform(0.1, 10.0, m),
+                      w=rng.normal(0.0, 1.0, m), b=float(rng.normal()))
+    x = rng.normal(0.0, 10.0 ** rng.uniform(-2, 4), (rows, m))
+    k = data.draw(st.integers(0, rows - 1))
+    s = data.draw(st.integers(1, rows - k))
+    whole = model.margins(x)
+    assert whole[k].tobytes() == np.float64(model.margin(x[k])).tobytes()
+    assert whole[k:k + s].tobytes() == model.margins(x[k:k + s]).tobytes()
 
 
 def test_identity_scaler_margin_is_raw_affine():
